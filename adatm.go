@@ -323,7 +323,7 @@ func engineFor(x *Tensor, opt Options) (Engine, error) {
 		return nil, err
 	}
 	if opt.Audit != nil && plan != nil {
-		opt.Audit.RecordDecision(audit.NewDecision(plan))
+		opt.Audit.RecordDecision(model.NewDecision(plan))
 	}
 	Instrument(eng, opt.Tracer, opt.Metrics)
 	return eng, nil

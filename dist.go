@@ -3,7 +3,6 @@ package adatm
 import (
 	"fmt"
 
-	"adatm/internal/audit"
 	"adatm/internal/dist"
 	"adatm/internal/model"
 	"adatm/internal/tensor"
@@ -166,7 +165,7 @@ func selectPartition(x *Tensor, opt *DistOptions) (*dist.Partition, error) {
 		return nil, fmt.Errorf("adatm: %w", err)
 	}
 	var part *dist.Partition
-	dec := audit.NewPartitionDecision(plan, transport)
+	dec := model.NewPartitionDecision(plan, transport)
 	switch name {
 	case PartitionAuto:
 		part = plan.Chosen.Part

@@ -1,7 +1,8 @@
 // Distributed simulation: partition a tensor across simulated processes,
-// compare the partitioners' communication footprints, and verify that the
-// simulated distributed CP-ALS reaches exactly the same solution as the
-// shared-memory solver (extension beyond the shared-memory target paper).
+// compare the partitioners' communication footprints under the α–β cost
+// model, and verify that the sharded CP-ALS solver reaches the same solution
+// as the shared-memory solver (extension beyond the shared-memory target
+// paper).
 //
 //	go run ./examples/distributed
 package main
@@ -9,12 +10,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"adatm"
-	"adatm/internal/coo"
 	"adatm/internal/dist"
-	"adatm/internal/engine"
-	"adatm/internal/tensor"
 )
 
 func main() {
@@ -28,34 +27,33 @@ func main() {
 
 	fmt.Printf("\n%-14s %12s %12s %10s %10s\n", "partitioner", "volume/iter", "messages", "imbalance", "pred iter")
 	cm := dist.CostModel{NsPerOp: 1, AlphaNs: 1000, BetaNsByte: 0.1}
-	parts := []*dist.Partition{
+	for _, p := range []*dist.Partition{
 		dist.RandomPartition(x, procs, 1),
 		dist.MediumGrainPartition(x, procs),
 		dist.FineGrainGreedyPartition(x, procs, 2),
-	}
-	factory := func(s *tensor.COO) engine.Engine { return coo.New(s, 1) }
-	var best *dist.Cluster
-	for _, p := range parts {
-		c := dist.NewCluster(x, p, factory)
+	} {
+		_, c := dist.AnalyzeComm(x, p)
+		compute, comm := cm.PredictIteration(p, c, x.Order(), rank)
 		fmt.Printf("%-14s %12s %12d %10.2f %10v\n", p.Name,
-			fmt.Sprintf("%.1fMiB", float64(c.Comm.VolumeBytes(rank))/(1<<20)),
-			c.Comm.Messages, p.Imbalance(), c.PredictIteration(rank, cm).Round(1000))
-		if p.Name == "fine-greedy" {
-			best = c
-		}
+			fmt.Sprintf("%.1fMiB", float64(c.VolumeBytes(rank))/(1<<20)),
+			c.Messages, p.Imbalance(), time.Duration(compute+comm).Round(1000))
 	}
 
-	// The simulated cluster is a drop-in engine: run the same decomposition
-	// distributed and shared, same seed, and compare.
+	// Run the same decomposition shared-memory and sharded over the
+	// fine-grain partition (one SPMD worker per process, fold/expand rows
+	// exchanged as messages), same seed, and compare.
 	shared, err := adatm.Decompose(x, adatm.Options{Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7, Engine: adatm.EngineCSF})
 	if err != nil {
 		log.Fatal(err)
 	}
-	distributed, err := adatm.DecomposeWith(x, best, adatm.Options{Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7})
+	distributed, err := adatm.DecomposeDist(x, adatm.DistOptions{
+		Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7,
+		Procs: procs, Partition: adatm.PartitionFineGreedy,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nshared-memory fit:  %.10f\n", shared.Fit)
-	fmt.Printf("distributed fit:    %.10f   (difference %.2e — FP reassociation only)\n",
-		distributed.Fit, shared.Fit-distributed.Fit)
+	fmt.Printf("\nshared-memory fit:  %.10f   (%d iterations)\n", shared.Fit, shared.Iters)
+	fmt.Printf("distributed fit:    %.10f   (%d iterations, %d messages; difference %.2e — FP reassociation only)\n",
+		distributed.Fit, distributed.Iters, distributed.Messages, shared.Fit-distributed.Fit)
 }

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"adatm/internal/model"
 	"adatm/internal/obs"
-	"adatm/internal/tensor"
 )
 
 // twoCandidates builds a minimal decision: A chosen at 100 predicted ops,
@@ -22,38 +20,6 @@ func twoCandidates(budget int64) *Decision {
 			{Name: "B", Tree: "([0-1] 2)", PredOps: 120, PredIndexBytes: 800, PredPeakValueBytes: 400, Feasible: true},
 		},
 		Chosen: "A", Reason: ReasonOpOptimal,
-	}
-}
-
-func TestNewDecisionFromPlan(t *testing.T) {
-	x := tensor.RandomClustered(4, 12, 800, 0.6, 41)
-	plan := model.Select(x, model.Options{Rank: 8})
-	d := NewDecision(plan)
-	if d.Rank != 8 || d.NNZ != int64(x.NNZ()) || len(d.Dims) != 4 {
-		t.Errorf("decision header = %+v", d)
-	}
-	if d.Chosen != plan.Chosen.Name || d.Reason != ReasonOpOptimal {
-		t.Errorf("chosen=%q reason=%q, plan chose %q", d.Chosen, d.Reason, plan.Chosen.Name)
-	}
-	if len(d.Candidates) != len(plan.Candidates) {
-		t.Fatalf("%d candidates, plan had %d", len(d.Candidates), len(plan.Candidates))
-	}
-	c := d.Candidate(d.Chosen)
-	if c == nil || c.PredOps != plan.Chosen.Pred.Ops || c.Tree == "" {
-		t.Errorf("chosen record = %+v", c)
-	}
-	if len(d.Ranges) == 0 {
-		t.Error("decision lost the estimator's distinct-tuple table")
-	}
-	if d.Candidate("nonexistent") != nil {
-		t.Error("Candidate(nonexistent) != nil")
-	}
-
-	// Budget-forced fallback must be recorded as such.
-	forced := model.Select(x, model.Options{Rank: 8, Budget: 1})
-	fd := NewDecision(forced)
-	if fd.Reason != ReasonBudgetFallback {
-		t.Errorf("tiny budget: reason = %q, want %q", fd.Reason, ReasonBudgetFallback)
 	}
 }
 

@@ -9,11 +9,7 @@
 // visible in production instead of silently degrading strategy choices.
 package audit
 
-import (
-	"time"
-
-	"adatm/internal/model"
-)
+import "time"
 
 // Selection reasons recorded in Decision.Reason.
 const (
@@ -103,52 +99,6 @@ type Decision struct {
 	Workers int `json:"workers,omitempty"`
 	// Accum is the per-mode output-accumulation decision table.
 	Accum []AccumRecord `json:"accum,omitempty"`
-}
-
-// NewDecision flattens a scored model.Plan into a Decision. The timestamp
-// is the call time.
-func NewDecision(p *model.Plan) *Decision {
-	d := &Decision{
-		Time:   time.Now(),
-		Dims:   append([]int(nil), p.Dims...),
-		NNZ:    p.NNZ,
-		Rank:   p.Rank,
-		Budget: p.Budget,
-		Exact:  p.Exact,
-		ByTime: p.ByTime,
-		Chosen: p.Chosen.Name,
-		Reason: p.Reason(),
-	}
-	d.Candidates = make([]CandidateRecord, len(p.Candidates))
-	for i, c := range p.Candidates {
-		d.Candidates[i] = CandidateRecord{
-			Name:               c.Name,
-			Tree:               c.Strategy.String(),
-			PredOps:            c.Pred.Ops,
-			PredIndexBytes:     c.Pred.IndexBytes,
-			PredPeakValueBytes: c.Pred.PeakValueBytes,
-			PredTimeNS:         c.PredTime.Nanoseconds(),
-			Feasible:           c.Feasible,
-		}
-	}
-	d.Ranges = make([]RangeCount, len(p.Ranges))
-	for i, r := range p.Ranges {
-		d.Ranges[i] = RangeCount{Lo: r.Lo, Hi: r.Hi, Count: r.Count}
-	}
-	d.Workers = p.Workers
-	d.Accum = make([]AccumRecord, len(p.Accum))
-	for i, a := range p.Accum {
-		d.Accum[i] = AccumRecord{
-			Mode:            a.Mode,
-			Rows:            a.Rows,
-			Strategy:        a.Strategy.String(),
-			PredScatterNS:   a.ScatterNS,
-			PredPrivatizeNS: a.PrivatizeNS,
-			FootprintBytes:  a.FootprintBytes,
-			Feasible:        a.Feasible,
-		}
-	}
-	return d
 }
 
 // Candidate returns the named candidate record, or nil.

@@ -3,9 +3,6 @@ package audit
 import (
 	"fmt"
 	"log/slog"
-	"time"
-
-	"adatm/internal/model"
 )
 
 // Partition-selection auditing: the distributed layer's partitioner choice
@@ -43,35 +40,6 @@ type PartitionCandidateRecord struct {
 	PredComputeNS float64 `json:"pred_compute_ns"`
 	PredCommNS    float64 `json:"pred_comm_ns"`
 	PredNS        float64 `json:"pred_ns"`
-}
-
-// NewPartitionDecision flattens a scored model.PartitionPlan into a
-// Decision. Transport names the wire the run will use ("chan", "tcp").
-func NewPartitionDecision(p *model.PartitionPlan, transport string) *Decision {
-	d := &Decision{
-		Time:      time.Now(),
-		NNZ:       int64(p.NNZ),
-		Rank:      p.Rank,
-		Kind:      "partition",
-		Procs:     p.Procs,
-		Transport: transport,
-		Chosen:    p.Chosen.Name,
-		Reason:    ReasonCommOptimal,
-	}
-	d.Partition = make([]PartitionCandidateRecord, len(p.Candidates))
-	for i, c := range p.Candidates {
-		d.Partition[i] = PartitionCandidateRecord{
-			Name:          c.Name,
-			VolumeRows:    c.Comm.TotalRows,
-			VolumeBytes:   c.Comm.VolumeBytes(p.Rank),
-			Messages:      c.Comm.Messages,
-			Imbalance:     c.Imbalance,
-			PredComputeNS: c.ComputeNS,
-			PredCommNS:    c.CommNS,
-			PredNS:        c.PredNS,
-		}
-	}
-	return d
 }
 
 // RecordPartition appends the partition decision to the ledger (as a

@@ -176,7 +176,7 @@ func Resume(x *tensor.COO, eng engine.Engine, c *ckpt.Checkpoint, opt Options) (
 	if opt.Audit != nil {
 		opt.Audit.RecordEvent(audit.Event{Kind: "resume", Iter: c.Iter, Fingerprint: c.Fingerprint})
 	}
-	return run(x, eng, opt, &resumeState{
+	return run(x, &singleNode{eng: eng, dims: x.Dims}, opt, &resumeState{
 		startIter: c.Iter + 1,
 		prevFit:   c.Fit,
 		lambda:    c.Lambda,

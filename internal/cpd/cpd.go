@@ -3,7 +3,10 @@
 // to a pluggable engine (streaming COO, CSF, or a memoized semi-sparse
 // strategy tree), so everything outside that kernel — Gram precomputation,
 // the pseudoinverse solve, column normalization, and the fast fit — is
-// shared code across every engine comparison in the evaluation.
+// shared code across every engine comparison in the evaluation. The
+// sharded solver (internal/dist) runs this same loop on every process; a
+// Layout supplies only which factor rows the process solves and the
+// collectives that combine its partial sums.
 package cpd
 
 import (
@@ -119,14 +122,70 @@ type Result struct {
 	Stats *RunStats
 }
 
-// Run decomposes x at the configured rank using the given MTTKRP engine.
-func Run(x *tensor.COO, eng engine.Engine, opt Options) (*Result, error) {
-	return run(x, eng, opt, nil)
+// Layout is the row distribution of one ALS process. The loop solves,
+// normalizes and measures only the factor rows its layout hands it and
+// combines the per-process partial sums (column norms, Gram, fit inner
+// product) through AllReduce, so the single-node solver and every process
+// of the sharded solver run this same loop. Run and Resume use the
+// single-node layout: the process owns every row, and Publish and
+// AllReduce do nothing.
+type Layout interface {
+	// Engine is the MTTKRP engine over this process's nonzeros.
+	Engine() engine.Engine
+	// MTTKRP computes the mode's MTTKRP and returns the pre-solve rows this
+	// process solves, and dst: the matrix the update overwrites, holding
+	// the current factor values of those rows (same shape as rows). rows
+	// must stay intact until the next MTTKRP call: the fit reads the last
+	// mode's rows.
+	MTTKRP(mode int, factors []*dense.Matrix) (rows, dst *dense.Matrix, err error)
+	// Publish writes the updated, normalized dst rows back to
+	// factors[mode] wherever this process's next MTTKRPs read them.
+	Publish(mode int, dst *dense.Matrix, factors []*dense.Matrix) error
+	// AllReduce replaces v with its element-wise sum over all processes.
+	AllReduce(v []float64) error
 }
 
-// run is the ALS loop shared by Run (rs == nil) and Resume (rs carries the
-// checkpointed loop state; opt.Init holds the checkpointed factors).
-func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Result, error) {
+// singleNode is the layout of a one-process run: the MTTKRP output is the
+// full matrix and the update overwrites the factor in place.
+type singleNode struct {
+	eng  engine.Engine
+	dims []int
+	buf  []float64 // MTTKRP output, maxDim × R, reused across modes
+}
+
+func (s *singleNode) Engine() engine.Engine { return s.eng }
+
+func (s *singleNode) MTTKRP(mode int, factors []*dense.Matrix) (*dense.Matrix, *dense.Matrix, error) {
+	r := factors[mode].Cols
+	if s.buf == nil {
+		s.buf = make([]float64, maxDim(s.dims)*r)
+	}
+	mm := &dense.Matrix{Rows: s.dims[mode], Cols: r, Data: s.buf[:s.dims[mode]*r]}
+	return mm, factors[mode], s.eng.MTTKRP(mode, factors, mm)
+}
+
+func (s *singleNode) Publish(int, *dense.Matrix, []*dense.Matrix) error { return nil }
+
+func (s *singleNode) AllReduce([]float64) error { return nil }
+
+// Run decomposes x at the configured rank using the given MTTKRP engine.
+func Run(x *tensor.COO, eng engine.Engine, opt Options) (*Result, error) {
+	return RunLayout(x, &singleNode{eng: eng, dims: x.Dims}, opt)
+}
+
+// RunLayout runs the ALS loop as one process of layout l. Every process
+// of a sharded run calls it with identical options, so each draws the same
+// initial factors and, from the all-reduced sums, takes the same
+// convergence decision. Result.Factors is this process's replica: only the
+// rows its layout solves and publishes are current.
+func RunLayout(x *tensor.COO, l Layout, opt Options) (*Result, error) {
+	return run(x, l, opt, nil)
+}
+
+// run is the ALS loop shared by RunLayout (rs == nil) and Resume (rs
+// carries the checkpointed loop state; opt.Init holds the checkpointed
+// factors).
+func run(x *tensor.COO, l Layout, opt Options, rs *resumeState) (*Result, error) {
 	n := x.Order()
 	if opt.Rank <= 0 {
 		return nil, errors.New("cpd: Rank must be positive")
@@ -164,6 +223,7 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	eng := l.Engine()
 
 	lambda := make([]float64, r)
 	// Fit starts at NaN, not 0: a run cancelled before the first fit
@@ -196,7 +256,8 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 
 	start := time.Now()
 
-	// Precompute the Gram matrices W⁽ⁿ⁾ = U⁽ⁿ⁾ᵀU⁽ⁿ⁾.
+	// Precompute the Gram matrices W⁽ⁿ⁾ = U⁽ⁿ⁾ᵀU⁽ⁿ⁾. Every process holds
+	// the full initial factors, so no reduction is needed yet.
 	clock.start()
 	grams := make([]*dense.Matrix, n)
 	for m := 0; m < n; m++ {
@@ -206,8 +267,9 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 
 	normX := x.Norm()
 	clock.tick(PhaseFit)
-	m := dense.New(maxDim(x.Dims), r) // MTTKRP output, reused across modes
 	h := dense.New(r, r)
+	inv := make([]float64, r) // reciprocal column norms
+	inner := make([]float64, 1)
 
 	// auditBase snapshots the engine counters before the first iteration so
 	// reconciliation works on this run's deltas even when the caller reuses
@@ -254,7 +316,7 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 			runtime.ReadMemStats(&memBase)
 			memBased = true
 		}
-		var lastM *dense.Matrix
+		var lastRows, lastDst *dense.Matrix
 		for _, mode := range sweep {
 			if opt.Ctx != nil {
 				select {
@@ -272,9 +334,9 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 				default:
 				}
 			}
-			mm := &dense.Matrix{Rows: x.Dims[mode], Cols: r, Data: m.Data[:x.Dims[mode]*r]}
 			t0 := time.Now()
-			if err := eng.MTTKRP(mode, factors, mm); err != nil {
+			rows, dst, err := l.MTTKRP(mode, factors)
+			if err != nil {
 				return nil, err
 			}
 			d := time.Since(t0)
@@ -296,37 +358,73 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 			clock.tick(PhaseGram)
 			if opt.NonNegative {
 				// Multiplicative rule: U ← U ∘ M ⁄ (U·H + ridge·U + ε).
-				denom := dense.MatMul(factors[mode], h, nil, opt.Workers)
-				u := factors[mode]
-				for i := range u.Data {
-					d := denom.Data[i] + opt.Ridge*u.Data[i] + epsMU
-					u.Data[i] *= mm.Data[i] / d
+				denom := dense.MatMul(dst, h, nil, opt.Workers)
+				for i := range dst.Data {
+					d := denom.Data[i] + opt.Ridge*dst.Data[i] + epsMU
+					dst.Data[i] *= rows.Data[i] / d
 				}
 			} else {
-				// Least squares: U⁽ᵐᵒᵈᵉ⁾ = M·(H + ridge·I)⁺.
+				// Least squares: U⁽ᵐᵒᵈᵉ⁾ = M·(H + ridge·I)⁺. Rows are
+				// independent given the Cholesky factor of H, so a process
+				// solving only its rows matches the full solve row for row.
 				if opt.Ridge > 0 {
 					for i := 0; i < r; i++ {
 						h.Set(i, i, h.At(i, i)+opt.Ridge)
 					}
 				}
-				factors[mode].CopyFrom(mm)
-				dense.SolveSPDInPlace(h, factors[mode], opt.Workers)
+				dst.CopyFrom(rows)
+				dense.SolveSPDInPlace(h, dst, opt.Workers)
 			}
 			clock.tick(PhaseSolve)
 
-			norms := dense.NormalizeColumns(factors[mode])
-			copy(lambda, norms)
+			// λ = column norms: sums of squares over this process's rows,
+			// all-reduced, then scaled by the reciprocal exactly as
+			// dense.NormalizeColumns does (zero columns stay as they are).
+			for j := range lambda {
+				lambda[j] = 0
+			}
+			for i := 0; i < dst.Rows; i++ {
+				for j, v := range dst.Row(i) {
+					lambda[j] += v * v
+				}
+			}
+			if err := l.AllReduce(lambda); err != nil {
+				return nil, err
+			}
+			for j, s := range lambda {
+				lambda[j] = math.Sqrt(s)
+				inv[j] = 1
+				if lambda[j] > 0 {
+					inv[j] = 1 / lambda[j]
+				}
+			}
+			for i := 0; i < dst.Rows; i++ {
+				row := dst.Row(i)
+				for j := range row {
+					row[j] *= inv[j]
+				}
+			}
+			if err := l.Publish(mode, dst, factors); err != nil {
+				return nil, err
+			}
 			clock.tick(PhaseNormalize)
-			dense.Gram(factors[mode], grams[mode], opt.Workers)
+			dense.Gram(dst, grams[mode], opt.Workers)
+			if err := l.AllReduce(grams[mode].Data); err != nil {
+				return nil, err
+			}
 			eng.FactorUpdated(mode)
 			clock.tick(PhaseGram)
 			if mode == lastMode {
-				lastM = mm
+				lastRows, lastDst = rows, dst
 			}
 		}
 
 		clock.start()
-		fit := computeFit(normX, lambda, factors[lastMode], lastM, grams)
+		inner[0] = innerProduct(lambda, lastRows, lastDst)
+		if err := l.AllReduce(inner); err != nil {
+			return nil, err
+		}
+		fit := computeFit(normX, lambda, inner[0], grams)
 		clock.tick(PhaseFit)
 		if opt.TrackFit {
 			res.FitTrace = append(res.FitTrace, fit)
@@ -442,26 +540,31 @@ func initFactors(x *tensor.COO, opt Options) ([]*dense.Matrix, error) {
 	return factors, nil
 }
 
-// computeFit evaluates fit = 1 − ‖X − X̂‖/‖X‖ without touching the tensor:
-// ‖X̂‖² = λᵀ(∘ₙ W⁽ⁿ⁾)λ and ⟨X, X̂⟩ = Σᵣ λᵣ Σᵢ M⁽ᴺ⁾(i,r)·U⁽ᴺ⁾(i,r), where M⁽ᴺ⁾
-// is the final mode's MTTKRP result and U⁽ᴺ⁾ the freshly normalized factor.
-func computeFit(normX float64, lambda []float64, lastFactor, lastM *dense.Matrix, grams []*dense.Matrix) float64 {
+// innerProduct is this process's share of ⟨X, X̂⟩ = Σᵣ λᵣ Σᵢ M⁽ᴺ⁾(i,r)·U⁽ᴺ⁾(i,r),
+// where M⁽ᴺ⁾ holds the final mode's pre-solve MTTKRP rows and U⁽ᴺ⁾ the
+// same rows of the freshly normalized factor.
+func innerProduct(lambda []float64, lastM, lastFactor *dense.Matrix) float64 {
 	r := len(lambda)
-	// ‖X̂‖².
-	hadAll := dense.HadamardAll(grams)
-	normEst2 := 0.0
-	for i := 0; i < r; i++ {
-		for j := 0; j < r; j++ {
-			normEst2 += lambda[i] * lambda[j] * hadAll.At(i, j)
-		}
-	}
-	// ⟨X, X̂⟩.
 	inner := 0.0
 	for i := 0; i < lastM.Rows; i++ {
 		mrow := lastM.Row(i)
 		frow := lastFactor.Row(i)
 		for j := 0; j < r; j++ {
 			inner += lambda[j] * mrow[j] * frow[j]
+		}
+	}
+	return inner
+}
+
+// computeFit evaluates fit = 1 − ‖X − X̂‖/‖X‖ without touching the tensor:
+// ‖X̂‖² = λᵀ(∘ₙ W⁽ⁿ⁾)λ and inner = ⟨X, X̂⟩ (see innerProduct).
+func computeFit(normX float64, lambda []float64, inner float64, grams []*dense.Matrix) float64 {
+	r := len(lambda)
+	hadAll := dense.HadamardAll(grams)
+	normEst2 := 0.0
+	for i := 0; i < r; i++ {
+		for j := 0; j < r; j++ {
+			normEst2 += lambda[i] * lambda[j] * hadAll.At(i, j)
 		}
 	}
 	res2 := normX*normX + normEst2 - 2*inner

@@ -18,10 +18,8 @@ import (
 	"adatm/internal/tensor"
 )
 
-// This file is an *external* test package on purpose: it exercises dist
-// against cpd.Run baselines, and cpd transitively imports dist (via
-// audit → model → dist for partition selection), so an internal test
-// package would be an import cycle.
+// This file is an external test package: it exercises dist through its
+// exported API only, against cpd.Run baselines.
 
 func partitioners(x *tensor.COO, procs int) []*dist.Partition {
 	return []*dist.Partition{
@@ -292,6 +290,72 @@ func TestDistRunValidation(t *testing.T) {
 	defer tr2.Close()
 	if _, err := dist.Run(x, c, tr2, dist.RunOptions{Rank: 0}); err == nil {
 		t.Error("zero rank not rejected")
+	}
+	// A tensor other than the cluster's: the exchange plan would index the
+	// partition's owner table past its end.
+	y := tensor.RandomClustered(3, 8, 400, 0.5, 704)
+	if _, err := dist.Run(y, c, tr2, dist.RunOptions{Rank: 4, MaxIters: 2}); err == nil {
+		t.Error("tensor other than the cluster's not rejected")
+	}
+}
+
+// TestArgumentContract feeds every argument error cpd.Run rejects through
+// both solvers: each must return an error, not panic.
+func TestArgumentContract(t *testing.T) {
+	x := tensor.RandomClustered(3, 8, 200, 0.5, 705)
+	order1 := tensor.NewCOO([]int{6}, 0)
+	for i := 0; i < 6; i++ {
+		order1.Append([]tensor.Index{tensor.Index(i)}, float64(i+1))
+	}
+	factors := func(dims []int, rank int) []*dense.Matrix {
+		out := make([]*dense.Matrix, len(dims))
+		for m, d := range dims {
+			out[m] = dense.New(d, rank)
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		x    *tensor.COO
+		opt  cpd.Options
+	}{
+		{"zero rank", x, cpd.Options{Rank: 0}},
+		{"negative rank", x, cpd.Options{Rank: -2}},
+		{"order 1", order1, cpd.Options{Rank: 2}},
+		{"empty tensor", tensor.NewCOO([]int{4, 5, 6}, 0), cpd.Options{Rank: 2}},
+		{"init count", x, cpd.Options{Rank: 2, Init: factors(x.Dims[:2], 2)}},
+		{"init rows", x, cpd.Options{Rank: 2, Init: factors([]int{8, 8, 7}, 2)}},
+		{"init rank", x, cpd.Options{Rank: 2, Init: factors(x.Dims, 3)}},
+	}
+	noPanic := func(t *testing.T, solver string, f func() error) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s panicked: %v", solver, r)
+			}
+		}()
+		if err := f(); err == nil {
+			t.Errorf("%s accepted the arguments", solver)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt
+			opt.MaxIters = 2
+			noPanic(t, "cpd.Run", func() error {
+				_, err := cpd.Run(tc.x, coo.New(tc.x, 1), opt)
+				return err
+			})
+			noPanic(t, "dist.Run", func() error {
+				c := dist.NewCluster(tc.x, dist.RandomPartition(tc.x, 2, 1), cooFactory)
+				tr := dist.NewChanTransport(2)
+				defer tr.Close()
+				_, err := dist.Run(tc.x, c, tr, dist.RunOptions{
+					Rank: opt.Rank, MaxIters: opt.MaxIters, Init: opt.Init,
+				})
+				return err
+			})
+		})
 	}
 }
 

@@ -164,10 +164,18 @@ func TestFactorGrid(t *testing.T) {
 
 func TestPredictIterationPositive(t *testing.T) {
 	x := tensor.RandomClustered(3, 20, 800, 0.6, 610)
-	c := NewCluster(x, MediumGrainPartition(x, 4), cooFactory)
-	d := c.PredictIteration(16, CostModel{NsPerOp: 1, AlphaNs: 1000, BetaNsByte: 0.1})
-	if d <= 0 {
-		t.Fatalf("non-positive predicted iteration %v", d)
+	p := MediumGrainPartition(x, 4)
+	_, stats := AnalyzeComm(x, p)
+	compute, comm := CostModel{NsPerOp: 1, AlphaNs: 1000, BetaNsByte: 0.1}.PredictIteration(p, stats, 3, 16)
+	if compute <= 0 || comm <= 0 {
+		t.Fatalf("non-positive predicted iteration: compute %v, comm %v", compute, comm)
+	}
+	maxLoad := 0
+	for _, l := range p.Loads() {
+		maxLoad = max(maxLoad, l)
+	}
+	if want := float64(maxLoad * 3 * 3 * 16); compute != want {
+		t.Errorf("compute = %v, want max load × N² × R = %v", compute, want)
 	}
 }
 

@@ -3,22 +3,22 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"adatm/internal/cpd"
 	"adatm/internal/dense"
+	"adatm/internal/engine"
 	"adatm/internal/obs"
 	"adatm/internal/tensor"
 )
 
 // RunOptions configures one distributed CP-ALS run. The numerical knobs
-// mirror cpd.Options so a distributed run with the same Rank/MaxIters/Tol/
-// Seed reproduces the single-node trajectory (see the determinism argument
-// in DESIGN.md §2j).
+// are passed to cpd's ALS loop unchanged, so a distributed run with the
+// same Rank/MaxIters/Tol/Seed reproduces the single-node trajectory (see
+// the determinism argument in DESIGN.md §2j).
 type RunOptions struct {
 	Rank     int     // number of rank-one components (R)
 	MaxIters int     // maximum ALS iterations (default 50)
@@ -26,8 +26,7 @@ type RunOptions struct {
 	Seed     int64   // RNG seed for factor initialization
 	Workers  int     // per-process parallel width for dense kernels
 	// Init provides initial factor matrices (one I_n × Rank matrix per
-	// mode); nil selects the same random initialization cpd.Run derives
-	// from Seed.
+	// mode); nil selects cpd's random initialization from Seed.
 	Init []*dense.Matrix
 	// TrackFit retains the per-iteration fit trajectory in Result.FitTrace.
 	TrackFit bool
@@ -47,7 +46,7 @@ type Result struct {
 	Fit        float64
 	Converged  bool
 	FitTrace   []float64
-	MTTKRPTime time.Duration // summed across processes
+	MTTKRPTime time.Duration // shard MTTKRP plus fold, summed across processes
 	TotalTime  time.Duration
 	// Comm is the partition's predicted per-iteration communication.
 	Comm CommStats
@@ -62,23 +61,18 @@ type Result struct {
 type retrier interface{ Retries() int64 }
 
 // Run executes the full CP-ALS loop over the cluster with one SPMD worker
-// goroutine per process, all communication through tr. Per mode: local
-// shard MTTKRP → fold partial rows to their owners (summed in ascending
-// process order, so the reduction tree is fixed) → owner-side solve and
-// normalize against the replicated Gram-Hadamard system → expand updated
-// rows back to every process touching them. Each process evaluates the
-// identical fit from replicated state, so every process takes the same
-// convergence decision with no extra synchronization.
+// goroutine per process, all communication through tr. Each worker runs
+// cpd's ALS loop with itself as the cpd.Layout. Per mode: local shard
+// MTTKRP → fold partial rows to their owners (summed in ascending process
+// order, so the reduction tree is fixed) → owner-side solve and normalize
+// against the replicated Gram-Hadamard system → expand updated rows back
+// to every process touching them. The column norms, the Gram and the fit's
+// inner product are all-reduced, so every process evaluates the identical
+// fit and takes the same convergence decision with no extra
+// synchronization. x must be the tensor the cluster was built over.
 func Run(x *tensor.COO, c *Cluster, tr Transport, opt RunOptions) (*Result, error) {
-	n := x.Order()
-	if opt.Rank <= 0 {
-		return nil, errors.New("dist: Rank must be positive")
-	}
-	if n < 2 {
-		return nil, errors.New("dist: tensor order must be at least 2")
-	}
-	if x.NNZ() == 0 {
-		return nil, errors.New("dist: empty tensor")
+	if c.X != x {
+		return nil, errors.New("dist: x is not the cluster's tensor")
 	}
 	if tr == nil {
 		return nil, errors.New("dist: nil transport")
@@ -86,44 +80,29 @@ func Run(x *tensor.COO, c *Cluster, tr Transport, opt RunOptions) (*Result, erro
 	if tr.P() != c.Part.P {
 		return nil, fmt.Errorf("dist: transport connects %d processes, cluster has %d", tr.P(), c.Part.P)
 	}
-	if opt.MaxIters <= 0 {
-		opt.MaxIters = 50
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-5
-	}
-
-	init, err := initFactors(x, opt)
-	if err != nil {
-		return nil, err
-	}
 	plan := buildExchangePlan(x, c.Part, c.Owners)
-	shared := &runShared{normX: x.Norm()}
-	unregister := registerDistMetrics(opt.Metrics, c, tr, opt.Rank, shared)
-	defer unregister()
+	shared := &runShared{}
+	registerDistMetrics(opt.Metrics, c, tr, opt.Rank, shared)
+	copt := cpd.Options{
+		Rank: opt.Rank, MaxIters: opt.MaxIters, Tol: opt.Tol, Seed: opt.Seed,
+		Workers: opt.Workers, Init: opt.Init, TrackFit: opt.TrackFit,
+	}
 
 	start := time.Now()
 	P := c.Part.P
-	workers := make([]*distWorker, P)
-	for p := 0; p < P; p++ {
-		factors := make([]*dense.Matrix, n)
-		for m := 0; m < n; m++ {
-			factors[m] = init[m].Clone()
-		}
-		workers[p] = &distWorker{
-			id: p, c: c, plan: plan, tr: tr, opt: opt, shared: shared,
-			factors: factors,
-			inbox:   &inbox{tr: tr, me: p},
-		}
-	}
+	results := make([]*cpd.Result, P)
 	errs := make([]error, P)
 	var closeOnce sync.Once
 	var wg sync.WaitGroup
 	for p := 0; p < P; p++ {
+		w := &distWorker{
+			id: p, eng: c.Engines[p], shard: c.shards[p], plan: plan, tr: tr, shared: shared,
+			inbox: &inbox{tr: tr, me: p},
+		}
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			errs[p] = workers[p].run()
+			results[p], errs[p] = cpd.RunLayout(x, w, copt)
 			if errs[p] != nil {
 				// Unblock every peer stuck in Recv or Send: the transport
 				// close turns their blocking calls into ErrClosed.
@@ -145,28 +124,31 @@ func Run(x *tensor.COO, c *Cluster, tr Transport, opt RunOptions) (*Result, erro
 		}
 	}
 
-	// Assemble the result factors from the owners: each owner's replica
-	// holds the authoritative rows it updated; rows no process owns are
-	// empty rows, zero after the first update (matching the single-node
-	// solver, whose zero MTTKRP rows solve and normalize to zero).
+	// Every process holds identical scalar results; process 0 reports
+	// them. The factors are assembled from the owners: each owner's
+	// replica holds the authoritative rows it updated; rows no process
+	// owns are empty rows, zero after the first update (matching the
+	// single-node solver, whose zero MTTKRP rows solve and normalize to
+	// zero).
+	r0 := results[0]
 	res := &Result{
-		Lambda:  append([]float64(nil), workers[0].lambda...),
-		Factors: make([]*dense.Matrix, n),
-		Iters:   workers[0].iters, Fit: workers[0].fit, Converged: workers[0].converged,
-		FitTrace:  workers[0].fitTrace,
+		Lambda: r0.Lambda, Factors: make([]*dense.Matrix, x.Order()),
+		Iters: r0.Iters, Fit: r0.Fit, Converged: r0.Converged, FitTrace: r0.FitTrace,
 		TotalTime: time.Since(start),
 		Comm:      c.Comm,
 		Messages:  shared.msgs.Load(),
 	}
-	res.MTTKRPTime = time.Duration(shared.mttkrpNS.Load())
+	for _, rp := range results {
+		res.MTTKRPTime += rp.MTTKRPTime
+	}
 	if rt, ok := tr.(retrier); ok {
 		res.Retries = rt.Retries()
 	}
-	for m := 0; m < n; m++ {
+	for m := range res.Factors {
 		out := dense.New(x.Dims[m], opt.Rank)
-		for q := 0; q < P; q++ {
+		for q, rq := range results {
 			for _, i := range plan.own[m][q] {
-				copy(out.Row(int(i)), workers[q].factors[m].Row(int(i)))
+				copy(out.Row(int(i)), rq.Factors[m].Row(int(i)))
 			}
 		}
 		res.Factors[m] = out
@@ -174,47 +156,20 @@ func Run(x *tensor.COO, c *Cluster, tr Transport, opt RunOptions) (*Result, erro
 	return res, nil
 }
 
-// initFactors mirrors cpd's initialization bit for bit: one RNG seeded
-// from Seed, consumed mode by mode in natural order.
-func initFactors(x *tensor.COO, opt RunOptions) ([]*dense.Matrix, error) {
-	n := x.Order()
-	if opt.Init != nil {
-		if len(opt.Init) != n {
-			return nil, fmt.Errorf("dist: %d initial factors for order-%d tensor", len(opt.Init), n)
-		}
-		factors := make([]*dense.Matrix, n)
-		for m, f := range opt.Init {
-			if f.Rows != x.Dims[m] || f.Cols != opt.Rank {
-				return nil, fmt.Errorf("dist: initial factor %d is %dx%d, want %dx%d", m, f.Rows, f.Cols, x.Dims[m], opt.Rank)
-			}
-			factors[m] = f.Clone()
-		}
-		return factors, nil
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	factors := make([]*dense.Matrix, n)
-	for m := 0; m < n; m++ {
-		factors[m] = dense.Random(x.Dims[m], opt.Rank, rng)
-	}
-	return factors, nil
-}
-
 // runShared is the cross-worker accounting the drivers and metric
 // callbacks read.
 type runShared struct {
-	normX    float64
-	msgs     atomic.Int64
-	foldNS   atomic.Int64
-	mttkrpNS atomic.Int64
+	msgs   atomic.Int64
+	foldNS atomic.Int64
 }
 
 // registerDistMetrics wires the adatm_dist_* series. Function metrics are
 // registered once per (name, labels) pair, so repeated runs over the same
 // registry with the same partition/transport labels keep reporting the
 // first run's state; the CLI builds one registry per run.
-func registerDistMetrics(reg *obs.Registry, c *Cluster, tr Transport, rank int, shared *runShared) func() {
+func registerDistMetrics(reg *obs.Registry, c *Cluster, tr Transport, rank int, shared *runShared) {
 	if reg == nil {
-		return func() {}
+		return
 	}
 	labels := obs.Labels{"partition": c.Part.Name, "transport": tr.Name()}
 	vol := c.Comm.VolumeBytes(rank)
@@ -234,7 +189,6 @@ func registerDistMetrics(reg *obs.Registry, c *Cluster, tr Transport, rank int, 
 	reg.CounterFunc("adatm_dist_retries_total",
 		"Transport-level retransmissions (TCP transport; 0 for the in-process transport).",
 		labels, retries)
-	return func() {}
 }
 
 // exchangePlan is the symbolic communication schedule, computed once from
@@ -327,26 +281,31 @@ func (b *inbox) recvMatch(kind MsgKind, tag uint8, mode, iter, from int) (*Messa
 	}
 }
 
-// distWorker is one SPMD process: a full factor replica, the replicated
-// Gram matrices, and the shard engine.
+// distWorker is one SPMD process as a cpd.Layout: it solves the factor
+// rows it owns, and its MTTKRP, Publish and AllReduce carry the
+// fold/expand and reduce/broadcast traffic of the process.
 type distWorker struct {
-	id      int
-	c       *Cluster
-	plan    *exchangePlan
-	tr      Transport
-	opt     RunOptions
-	shared  *runShared
-	inbox   *inbox
-	factors []*dense.Matrix
-	lambda  []float64
+	id     int
+	eng    engine.Engine
+	shard  *tensor.COO
+	plan   *exchangePlan
+	tr     Transport
+	shared *runShared
+	inbox  *inbox
 
-	// Outputs read by the driver after the join (worker 0 is authoritative
-	// for the scalar results; every worker computes identical values).
-	iters     int
-	fit       float64
-	converged bool
-	fitTrace  []float64
+	// Scratch reused across modes, allocated on the first MTTKRP: the
+	// local shard MTTKRP output, the folded sums of the owned rows, the
+	// owned rows the update overwrites, and the outgoing payload.
+	local, fold, own, sendBuf []float64
+
+	// Protocol position, advanced by the loop's calls: messages carry the
+	// mode and iteration they belong to, reduces their phase tag.
+	mode, iter, steps, reduces int
 }
+
+var _ cpd.Layout = (*distWorker)(nil)
+
+func (w *distWorker) Engine() engine.Engine { return w.eng }
 
 func (w *distWorker) send(m *Message) error {
 	m.From = w.id
@@ -354,269 +313,158 @@ func (w *distWorker) send(m *Message) error {
 	return w.tr.Send(m)
 }
 
-func (w *distWorker) run() error {
-	n := w.c.X.Order()
-	r := w.opt.Rank
-	P := w.c.Part.P
-	dims := w.c.X.Dims
-	eng := w.c.Engines[w.id]
-	shard := w.c.shards[w.id]
-
-	grams := make([]*dense.Matrix, n)
-	for m := 0; m < n; m++ {
-		grams[m] = dense.Gram(w.factors[m], nil, w.opt.Workers)
+// pack copies the named rows of src into the worker's send buffer. A
+// transport is done with a payload when Send returns, so one buffer serves
+// every message.
+func (w *distWorker) pack(rows []int32, src *dense.Matrix) []float64 {
+	r := src.Cols
+	if cap(w.sendBuf) < len(rows)*r {
+		w.sendBuf = make([]float64, len(rows)*r)
 	}
-	w.lambda = make([]float64, r)
+	data := w.sendBuf[:len(rows)*r]
+	for j, i := range rows {
+		copy(data[j*r:(j+1)*r], src.Row(int(i)))
+	}
+	return data
+}
 
-	maxOwn := 0
-	for m := 0; m < n; m++ {
-		if l := len(w.plan.own[m][w.id]); l > maxOwn {
-			maxOwn = l
+// MTTKRP runs the shard MTTKRP and folds the partial rows to their owners.
+// It returns the summed owned rows and a copy of their current factor
+// values for the update to overwrite.
+func (w *distWorker) MTTKRP(mode int, factors []*dense.Matrix) (*dense.Matrix, *dense.Matrix, error) {
+	r := factors[mode].Cols
+	if w.local == nil {
+		maxRows, maxOwn := 0, 0
+		for m, f := range factors {
+			maxRows = max(maxRows, f.Rows)
+			maxOwn = max(maxOwn, len(w.plan.own[m][w.id]))
+		}
+		w.local = make([]float64, maxRows*r)
+		w.fold = make([]float64, maxOwn*r)
+		w.own = make([]float64, maxOwn*r)
+	}
+	if w.steps%len(factors) == 0 {
+		w.iter++
+	}
+	w.steps++
+	w.mode, w.reduces = mode, 0
+	P := len(w.plan.own[mode])
+	ownRows := w.plan.own[mode][w.id]
+	dim, k := factors[mode].Rows, len(ownRows)
+	local := &dense.Matrix{Rows: dim, Cols: r, Data: w.local[:dim*r]}
+	fold := &dense.Matrix{Rows: k, Cols: r, Data: w.fold[:k*r]}
+	own := &dense.Matrix{Rows: k, Cols: r, Data: w.own[:k*r]}
+	if w.shard.NNZ() > 0 {
+		if err := w.eng.MTTKRP(mode, factors, local); err != nil {
+			return nil, nil, err
 		}
 	}
-	mm := dense.New(maxDim(dims), r)
-	h := dense.New(r, r)
-	foldBuf := make([]float64, maxOwn*r)
-	lastFold := make([]float64, len(w.plan.own[n-1][w.id])*r)
-	redNorm := make([]float64, r)
-	redGram := make([]float64, r*r)
-	redFit := make([]float64, 1)
-
-	prevFit := math.Inf(-1)
-	lastMode := n - 1
-	for iter := 1; iter <= w.opt.MaxIters; iter++ {
-		for mode := 0; mode < n; mode++ {
-			ownRows := w.plan.own[mode][w.id]
-			// Local MTTKRP over the shard.
-			if shard.NNZ() > 0 {
-				mmv := &dense.Matrix{Rows: dims[mode], Cols: r, Data: mm.Data[:dims[mode]*r]}
-				t0 := time.Now()
-				if err := eng.MTTKRP(mode, w.factors, mmv); err != nil {
-					return err
-				}
-				w.shared.mttkrpNS.Add(time.Since(t0).Nanoseconds())
-			}
-			// Fold sends: partial rows to their owners.
-			for q := 0; q < P; q++ {
-				rows := w.plan.fold[mode][w.id][q]
-				if len(rows) == 0 {
-					continue
-				}
-				data := make([]float64, len(rows)*r)
-				for j, i := range rows {
-					copy(data[j*r:(j+1)*r], mm.Row(int(i)))
-				}
-				if err := w.send(&Message{To: q, Kind: MsgFold, Mode: mode, Iter: iter, Rows: rows, Data: data}); err != nil {
-					return err
-				}
-			}
-			// Fold gather: receive every expected partial, then sum in
-			// ascending process order — the fixed reduction tree that makes
-			// the run transport-independent and reproducible.
-			t0 := time.Now()
-			fb := foldBuf[:len(ownRows)*r]
-			for i := range fb {
-				fb[i] = 0
-			}
-			incoming := make([]*Message, P)
-			for p := 0; p < P; p++ {
-				if p == w.id || len(w.plan.fold[mode][p][w.id]) == 0 {
-					continue
-				}
-				msg, err := w.inbox.recvMatch(MsgFold, 0, mode, iter, p)
-				if err != nil {
-					return err
-				}
-				incoming[p] = msg
-			}
-			for p := 0; p < P; p++ {
-				if p == w.id {
-					for _, i := range w.plan.self[mode][w.id] {
-						j := rowPos(ownRows, i)
-						src := mm.Row(int(i))
-						dst := fb[j*r : (j+1)*r]
-						for k := range dst {
-							dst[k] += src[k]
-						}
-					}
-				} else if msg := incoming[p]; msg != nil {
-					for k, i := range msg.Rows {
-						j := rowPos(ownRows, i)
-						src := msg.Data[k*r : (k+1)*r]
-						dst := fb[j*r : (j+1)*r]
-						for c := range dst {
-							dst[c] += src[c]
-						}
-					}
-				}
-			}
-			w.shared.foldNS.Add(time.Since(t0).Nanoseconds())
-
-			// H = ∘_{i≠mode} W⁽ⁱ⁾, replicated (grams are replicated, so H
-			// is bit-identical on every process).
-			h.Fill(1)
-			for i := 0; i < n; i++ {
-				if i != mode {
-					dense.Hadamard(h, grams[i], h)
-				}
-			}
-			// The fit needs the pre-solve MTTKRP rows of the last mode.
-			if mode == lastMode {
-				copy(lastFold, fb)
-			}
-			// Owner-side solve: rows are independent given the Cholesky of
-			// H, so solving only the owned rows is bit-identical to the
-			// single-node solve of the full matrix, row for row.
-			ownM := &dense.Matrix{Rows: len(ownRows), Cols: r, Data: fb}
-			dense.SolveSPDInPlace(h, ownM, w.opt.Workers)
-
-			// Column norms: partial sums of squares over owned rows,
-			// all-reduced in process order.
-			for j := range redNorm {
-				redNorm[j] = 0
-			}
-			for j := 0; j < len(ownRows); j++ {
-				row := fb[j*r : (j+1)*r]
-				for k, v := range row {
-					redNorm[k] += v * v
-				}
-			}
-			if err := w.allReduce(redNorm, TagNorm, mode, iter); err != nil {
-				return err
-			}
-			// Normalize owned rows exactly as dense.NormalizeColumns does
-			// (multiply by the reciprocal; zero columns stay as-is) so the
-			// scaled entries are bit-identical to the single-node path.
-			inv := redGram[:r] // scratch; redGram is zeroed before its own use
-			for j := range redNorm {
-				w.lambda[j] = math.Sqrt(redNorm[j])
-				if w.lambda[j] > 0 {
-					inv[j] = 1 / w.lambda[j]
-				} else {
-					inv[j] = 1
-				}
-			}
-			for j, i := range ownRows {
-				row := fb[j*r : (j+1)*r]
-				for k := range row {
-					row[k] *= inv[k]
-				}
-				copy(w.factors[mode].Row(int(i)), row)
-			}
-			// Expand: owners return the updated rows to every process that
-			// touches them (the mirror of the fold edges).
-			for p := 0; p < P; p++ {
-				rows := w.plan.fold[mode][p][w.id]
-				if len(rows) == 0 {
-					continue
-				}
-				data := make([]float64, len(rows)*r)
-				for j, i := range rows {
-					copy(data[j*r:(j+1)*r], w.factors[mode].Row(int(i)))
-				}
-				if err := w.send(&Message{To: p, Kind: MsgExpand, Mode: mode, Iter: iter, Rows: rows, Data: data}); err != nil {
-					return err
-				}
-			}
-			for q := 0; q < P; q++ {
-				if len(w.plan.fold[mode][w.id][q]) == 0 {
-					continue
-				}
-				msg, err := w.inbox.recvMatch(MsgExpand, 0, mode, iter, q)
-				if err != nil {
-					return err
-				}
-				for k, i := range msg.Rows {
-					copy(w.factors[mode].Row(int(i)), msg.Data[k*r:(k+1)*r])
-				}
-			}
-			// Replicated Gram update: partial over owned rows, all-reduced
-			// in process order. Unowned rows are empty rows — zero after
-			// their first update, contributing nothing, exactly as in the
-			// single-node Gram over the full factor.
-			for j := range redGram {
-				redGram[j] = 0
-			}
-			for _, i := range ownRows {
-				row := w.factors[mode].Row(int(i))
-				for a := 0; a < r; a++ {
-					va := row[a]
-					for b := 0; b < r; b++ {
-						redGram[a*r+b] += va * row[b]
-					}
-				}
-			}
-			if err := w.allReduce(redGram, TagGram, mode, iter); err != nil {
-				return err
-			}
-			copy(grams[mode].Data, redGram)
-			eng.FactorUpdated(mode)
+	// Fold sends: partial rows to their owners.
+	for q := 0; q < P; q++ {
+		rows := w.plan.fold[mode][w.id][q]
+		if len(rows) == 0 {
+			continue
 		}
-
-		// Fit: the inner product ⟨X, X̂⟩ needs the last mode's pre-solve
-		// MTTKRP rows and normalized factor rows — both owner-resident — so
-		// only a scalar partial is reduced. ‖X̂‖² comes from the replicated
-		// grams and λ, identical everywhere.
-		ownLast := w.plan.own[lastMode][w.id]
-		inner := 0.0
-		for j, i := range ownLast {
-			mrow := lastFold[j*r : (j+1)*r]
-			frow := w.factors[lastMode].Row(int(i))
-			for k := 0; k < r; k++ {
-				inner += w.lambda[k] * mrow[k] * frow[k]
+		if err := w.send(&Message{To: q, Kind: MsgFold, Mode: mode, Iter: w.iter, Rows: rows, Data: w.pack(rows, local)}); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Fold gather: receive every expected partial, then sum in ascending
+	// process order — the fixed reduction tree that makes the run
+	// transport-independent and reproducible.
+	t0 := time.Now()
+	fold.Zero()
+	incoming := make([]*Message, P)
+	for p := 0; p < P; p++ {
+		if p == w.id || len(w.plan.fold[mode][p][w.id]) == 0 {
+			continue
+		}
+		msg, err := w.inbox.recvMatch(MsgFold, 0, mode, w.iter, p)
+		if err != nil {
+			return nil, nil, err
+		}
+		incoming[p] = msg
+	}
+	for p := 0; p < P; p++ {
+		if p == w.id {
+			for _, i := range w.plan.self[mode][w.id] {
+				addRow(fold.Row(rowPos(ownRows, i)), local.Row(int(i)))
+			}
+		} else if msg := incoming[p]; msg != nil {
+			for k, i := range msg.Rows {
+				addRow(fold.Row(rowPos(ownRows, i)), msg.Data[k*r:(k+1)*r])
 			}
 		}
-		redFit[0] = inner
-		if err := w.allReduce(redFit, TagFit, -1, iter); err != nil {
+	}
+	w.shared.foldNS.Add(time.Since(t0).Nanoseconds())
+
+	for j, i := range ownRows {
+		copy(own.Row(j), factors[mode].Row(int(i)))
+	}
+	return fold, own, nil
+}
+
+func addRow(dst, src []float64) {
+	for k := range dst {
+		dst[k] += src[k]
+	}
+}
+
+// Publish writes the updated owned rows into this replica and expands
+// them: owners return the updated rows to every process that touches them
+// (the mirror of the fold edges).
+func (w *distWorker) Publish(mode int, dst *dense.Matrix, factors []*dense.Matrix) error {
+	f := factors[mode]
+	r := f.Cols
+	for j, i := range w.plan.own[mode][w.id] {
+		copy(f.Row(int(i)), dst.Row(j))
+	}
+	P := len(w.plan.own[mode])
+	for p := 0; p < P; p++ {
+		rows := w.plan.fold[mode][p][w.id]
+		if len(rows) == 0 {
+			continue
+		}
+		if err := w.send(&Message{To: p, Kind: MsgExpand, Mode: mode, Iter: w.iter, Rows: rows, Data: w.pack(rows, f)}); err != nil {
 			return err
 		}
-		inner = redFit[0]
-		hadAll := dense.HadamardAll(grams)
-		normEst2 := 0.0
-		for a := 0; a < r; a++ {
-			for b := 0; b < r; b++ {
-				normEst2 += w.lambda[a] * w.lambda[b] * hadAll.At(a, b)
-			}
+	}
+	for q := 0; q < P; q++ {
+		if len(w.plan.fold[mode][w.id][q]) == 0 {
+			continue
 		}
-		normX := w.shared.normX
-		res2 := normX*normX + normEst2 - 2*inner
-		if res2 < 0 {
-			res2 = 0
+		msg, err := w.inbox.recvMatch(MsgExpand, 0, mode, w.iter, q)
+		if err != nil {
+			return err
 		}
-		fit := 0.0
-		if normX > 0 {
-			fit = 1 - math.Sqrt(res2)/normX
+		for k, i := range msg.Rows {
+			copy(f.Row(int(i)), msg.Data[k*r:(k+1)*r])
 		}
-		w.iters = iter
-		w.fit = fit
-		if w.opt.TrackFit {
-			w.fitTrace = append(w.fitTrace, fit)
-		}
-		// Every process computed the identical fit from replicated state,
-		// so this branch is taken (or not) unanimously — no vote needed.
-		if math.Abs(fit-prevFit) < w.opt.Tol {
-			w.converged = true
-			break
-		}
-		prevFit = fit
 	}
 	return nil
 }
 
-// allReduce sums v element-wise across all processes with a fixed
+// AllReduce sums v element-wise across all processes with a fixed
 // association: process 0 gathers partials in ascending process order
 // (its own partial first) and broadcasts the total. Every transport
-// therefore produces bit-identical sums.
-func (w *distWorker) allReduce(v []float64, tag uint8, mode, iter int) error {
-	P := w.c.Part.P
+// therefore produces bit-identical sums. After each MTTKRP the loop
+// all-reduces the column norms, then the Gram, and after the last mode of
+// the sweep the fit's inner product: the call's position gives its tag.
+func (w *distWorker) AllReduce(v []float64) error {
+	tag, mode := uint8(w.reduces), w.mode // TagNorm, TagGram, TagFit
+	if tag == TagFit {
+		mode = -1
+	}
+	w.reduces++
+	P := len(w.plan.own[0])
 	if P == 1 {
 		return nil
 	}
 	if w.id != 0 {
-		if err := w.send(&Message{To: 0, Kind: MsgReduce, Tag: tag, Mode: mode, Iter: iter, Data: v}); err != nil {
+		if err := w.send(&Message{To: 0, Kind: MsgReduce, Tag: tag, Mode: mode, Iter: w.iter, Data: v}); err != nil {
 			return err
 		}
-		msg, err := w.inbox.recvMatch(MsgBcast, tag, mode, iter, 0)
+		msg, err := w.inbox.recvMatch(MsgBcast, tag, mode, w.iter, 0)
 		if err != nil {
 			return err
 		}
@@ -624,7 +472,7 @@ func (w *distWorker) allReduce(v []float64, tag uint8, mode, iter int) error {
 		return nil
 	}
 	for p := 1; p < P; p++ {
-		msg, err := w.inbox.recvMatch(MsgReduce, tag, mode, iter, p)
+		msg, err := w.inbox.recvMatch(MsgReduce, tag, mode, w.iter, p)
 		if err != nil {
 			return err
 		}
@@ -633,7 +481,7 @@ func (w *distWorker) allReduce(v []float64, tag uint8, mode, iter int) error {
 		}
 	}
 	for p := 1; p < P; p++ {
-		if err := w.send(&Message{To: p, Kind: MsgBcast, Tag: tag, Mode: mode, Iter: iter, Data: v}); err != nil {
+		if err := w.send(&Message{To: p, Kind: MsgBcast, Tag: tag, Mode: mode, Iter: w.iter, Data: v}); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"time"
-
 	"adatm/internal/dense"
 	"adatm/internal/engine"
 	"adatm/internal/par"
@@ -131,32 +129,27 @@ func (c *Cluster) ResetStats() {
 
 var _ engine.Engine = (*Cluster)(nil)
 
-// CostModel is the α–β machine model used to predict one iteration of the
-// simulated cluster.
+// CostModel is the α–β machine model used to predict one iteration of a
+// sharded CP-ALS run.
 type CostModel struct {
 	NsPerOp    float64 // per Hadamard op unit on a process
 	AlphaNs    float64 // per message latency
 	BetaNsByte float64 // per byte of communication
 }
 
-// PredictIteration estimates one CP-ALS iteration's time under the cost
-// model: the slowest process's compute plus the fold+expand communication
-// of every mode.
-func (c *Cluster) PredictIteration(rank int, m CostModel) time.Duration {
-	// Compute: the per-process op counts are proportional to shard nnz for
-	// the baseline engines; use the exact counters if available by probing
-	// loads.
-	loads := c.Part.Loads()
+// PredictIteration estimates one CP-ALS iteration of partition p at the
+// given tensor order and rank: computeNS is the slowest process's compute
+// (its nonzero count times N² rank-length Hadamard steps), commNS the α–β
+// cost of the fold+expand traffic comm describes (each fold message has a
+// mirrored expand, hence 2·Messages). comm must be p's AnalyzeComm result.
+func (m CostModel) PredictIteration(p *Partition, comm CommStats, order, rank int) (computeNS, commNS float64) {
 	maxLoad := 0
-	for _, l := range loads {
-		if l > maxLoad {
-			maxLoad = l
-		}
+	for _, l := range p.Loads() {
+		maxLoad = max(maxLoad, l)
 	}
-	n := c.X.Order()
-	computeNs := float64(maxLoad) * float64(n*n*rank) * m.NsPerOp
-	commNs := m.AlphaNs*float64(2*c.Comm.Messages) + m.BetaNsByte*float64(c.Comm.VolumeBytes(rank))
-	return time.Duration(computeNs + commNs)
+	computeNS = float64(maxLoad) * float64(order*order*rank) * m.NsPerOp
+	commNS = m.AlphaNs*float64(2*comm.Messages) + m.BetaNsByte*float64(comm.VolumeBytes(rank))
+	return computeNS, commNS
 }
 
 func maxDim(dims []int) int {

@@ -69,7 +69,8 @@ var ErrClosed = errors.New("dist: transport closed")
 // a message for proc arrives or the transport closes. Implementations must
 // preserve per-(sender,receiver) FIFO order for delivered messages and
 // deliver each accepted message exactly once — the solver's determinism
-// argument (DESIGN.md §2j) builds on those two guarantees.
+// argument (DESIGN.md §2j) builds on those two guarantees. Send must be
+// done with m's buffers when it returns: the sender reuses them.
 type Transport interface {
 	// Name identifies the implementation ("chan", "tcp") for metrics labels.
 	Name() string

@@ -37,7 +37,7 @@ func TestInstrumentedSteadyStateZeroAlloc(t *testing.T) {
 	// disturb the hot path: the decision/reconciliation happens once, outside
 	// the sweep, and the gauges it sets are plain registry series.
 	rec := audit.NewRecorder(audit.Config{Metrics: reg})
-	rec.RecordDecision(audit.NewDecision(model.Select(x, model.Options{Rank: r})))
+	rec.RecordDecision(model.NewDecision(model.Select(x, model.Options{Rank: r})))
 	rec.Reconcile(audit.Measured{Iters: 1, OpsPerIter: 1000, PeakValueBytes: 1 << 10, IndexBytes: 1 << 10})
 
 	memoEng, err := memo.NewWithConfig(x, memo.Balanced(x.Order()), memo.Config{Workers: 1, RetainBuffers: true, Name: "memo-retain"})

@@ -8,6 +8,7 @@ import (
 	"adatm"
 	"adatm/internal/audit"
 	"adatm/internal/memo"
+	"adatm/internal/model"
 )
 
 // E6Memory reports each engine's auxiliary storage relative to the raw COO
@@ -51,7 +52,7 @@ func E7ModelAccuracy(cfg Config) *Table {
 	for _, ds := range ProfileSuite(cfg) {
 		x := ds.X
 		plan := adatm.PlanFor(x, cfg.rank(), 0)
-		dec := audit.NewDecision(plan)
+		dec := model.NewDecision(plan)
 		var predOps, measured []float64
 		var names []string
 		maxRelErr := 0.0

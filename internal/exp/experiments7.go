@@ -2,11 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"time"
 
-	"adatm/internal/coo"
 	"adatm/internal/dist"
-	"adatm/internal/engine"
-	"adatm/internal/tensor"
 )
 
 // E21PartitionerQuality compares the distributed-simulation partitioners on
@@ -44,8 +42,9 @@ func E21PartitionerQuality(cfg Config) *Table {
 }
 
 // E22SimulatedScaling reports strong-scaling predictions of the α–β cost
-// model for the simulated cluster, per partitioner, and verifies the
-// distributed numerics against the shared-memory result.
+// model (dist.CostModel.PredictIteration) per process count and
+// partitioner. It builds no shard engines: a prediction needs only the
+// partition and its AnalyzeComm accounting.
 func E22SimulatedScaling(cfg Config) *Table {
 	t := &Table{
 		ID:      "E22",
@@ -57,9 +56,12 @@ func E22SimulatedScaling(cfg Config) *Table {
 	// A plausible commodity-cluster machine model: 1 ns/op on each process,
 	// 1 µs message latency, 10 GB/s links.
 	cm := dist.CostModel{NsPerOp: 1, AlphaNs: 1000, BetaNsByte: 0.1}
-	factory := func(s *tensor.COO) engine.Engine { return coo.New(s, 1) }
-	base := dist.NewCluster(x, dist.MediumGrainPartition(x, 1), factory)
-	baseTime := base.PredictIteration(cfg.rank(), cm)
+	predict := func(p *dist.Partition) (pred time.Duration, commNs float64) {
+		_, stats := dist.AnalyzeComm(x, p)
+		computeNs, commNs := cm.PredictIteration(p, stats, x.Order(), cfg.rank())
+		return time.Duration(computeNs + commNs), commNs
+	}
+	baseTime, _ := predict(dist.MediumGrainPartition(x, 1))
 	for _, procs := range []int{4, 16, 64} {
 		parts := []*dist.Partition{
 			dist.RandomPartition(x, procs, 17),
@@ -67,9 +69,7 @@ func E22SimulatedScaling(cfg Config) *Table {
 			dist.FineGrainGreedyPartition(x, procs, 19),
 		}
 		for _, p := range parts {
-			c := dist.NewCluster(x, p, factory)
-			pred := c.PredictIteration(cfg.rank(), cm)
-			commNs := cm.AlphaNs*float64(2*c.Comm.Messages) + cm.BetaNsByte*float64(c.Comm.VolumeBytes(cfg.rank()))
+			pred, commNs := predict(p)
 			t.Add(procs, p.Name, pred.Round(1000).String(),
 				fmt.Sprintf("%.1fx", float64(baseTime)/float64(pred)),
 				fmt.Sprintf("%.0f%%", 100*commNs/float64(pred)))

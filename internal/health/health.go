@@ -145,8 +145,8 @@ type Config struct {
 // Input is one iteration's raw solver state, handed to Observe. Slices are
 // read, never retained.
 type Input struct {
-	Iter    int
-	Fit     float64
+	Iter int
+	Fit  float64
 	// PrevFit is the previous iteration's fit; non-finite (the solver seeds
 	// it with -Inf) marks the first iteration, whose delta is excluded from
 	// the stall baseline.

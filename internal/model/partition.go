@@ -13,11 +13,11 @@ import (
 // Model-driven partition selection for the distributed layer: the same
 // philosophy as format selection (enumerate a small candidate family, score
 // each with a cost model, pick the cheapest), applied to the question of
-// which nonzero partitioner a sharded run should use. The score mirrors
-// dist.CostModel.PredictIteration exactly — the slowest process's compute
-// under the roofline's NsPerOp plus α–β communication over the exact
-// fold/expand volume AnalyzeComm computes — so the audit layer can later
-// reconcile the prediction against the measured run.
+// which nonzero partitioner a sharded run should use. The score is
+// dist.CostModel.PredictIteration — the slowest process's compute under the
+// roofline's NsPerOp plus α–β communication over the exact fold/expand
+// volume AnalyzeComm computes — so the audit layer can later reconcile the
+// prediction against the measured run.
 
 // PartitionOptions configures SelectPartition.
 type PartitionOptions struct {
@@ -113,19 +113,10 @@ func SelectPartition(x *tensor.COO, opt PartitionOptions) (*PartitionPlan, error
 		Procs: opt.Procs, Rank: rank, NNZ: x.NNZ(), Order: x.Order(),
 		AlphaNS: alpha, NsPerOp: nsPerOp, NsPerByte: nsPerByte,
 	}
-	n := x.Order()
+	cm := dist.CostModel{NsPerOp: nsPerOp, AlphaNs: alpha, BetaNsByte: nsPerByte}
 	for _, p := range parts {
 		_, stats := dist.AnalyzeComm(x, p)
-		maxLoad := 0
-		for _, l := range p.Loads() {
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
-		// Identical arithmetic to dist.CostModel.PredictIteration with
-		// {NsPerOp: nsPerOp, AlphaNs: alpha, BetaNsByte: nsPerByte}.
-		computeNS := float64(maxLoad) * float64(n*n*rank) * nsPerOp
-		commNS := alpha*float64(2*stats.Messages) + nsPerByte*float64(stats.VolumeBytes(rank))
+		computeNS, commNS := cm.PredictIteration(p, stats, x.Order(), rank)
 		plan.Candidates = append(plan.Candidates, PartitionCandidate{
 			Name: p.Name, Part: p, Comm: stats, Imbalance: p.Imbalance(),
 			ComputeNS: computeNS, CommNS: commNS, PredNS: computeNS + commNS,

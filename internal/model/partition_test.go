@@ -3,11 +3,8 @@ package model
 import (
 	"strings"
 	"testing"
-	"time"
 
-	"adatm/internal/coo"
 	"adatm/internal/dist"
-	"adatm/internal/engine"
 	"adatm/internal/tensor"
 )
 
@@ -47,8 +44,9 @@ func TestSelectPartitionPrefersStructure(t *testing.T) {
 	}
 }
 
-// The score must be the same arithmetic dist.CostModel.PredictIteration
-// uses, so audit reconciliation can compare prediction to measurement.
+// The score must be dist.CostModel.PredictIteration over the candidate's
+// partition and communication, so audit reconciliation compares prediction
+// to measurement under the one cost formula.
 func TestSelectPartitionMirrorsCostModel(t *testing.T) {
 	x := tensor.RandomClustered(3, 20, 800, 0.6, 631)
 	plan, err := SelectPartition(x, PartitionOptions{Procs: 4, Rank: 8, Seed: 2})
@@ -57,10 +55,14 @@ func TestSelectPartitionMirrorsCostModel(t *testing.T) {
 	}
 	cm := dist.CostModel{NsPerOp: plan.NsPerOp, AlphaNs: plan.AlphaNS, BetaNsByte: plan.NsPerByte}
 	for _, cand := range plan.Candidates {
-		c := dist.NewCluster(x, cand.Part, func(s *tensor.COO) engine.Engine { return coo.New(s, 1) })
-		want := c.PredictIteration(plan.Rank, cm)
-		if got := time.Duration(cand.PredNS); got != want {
-			t.Errorf("%s: plan predicts %v, dist.CostModel predicts %v", cand.Name, got, want)
+		_, stats := dist.AnalyzeComm(x, cand.Part)
+		if stats != cand.Comm {
+			t.Errorf("%s: plan records comm %+v, AnalyzeComm gives %+v", cand.Name, cand.Comm, stats)
+		}
+		compute, comm := cm.PredictIteration(cand.Part, stats, x.Order(), plan.Rank)
+		if cand.ComputeNS != compute || cand.CommNS != comm || cand.PredNS != compute+comm {
+			t.Errorf("%s: plan predicts %v+%v, dist.CostModel predicts %v+%v",
+				cand.Name, cand.ComputeNS, cand.CommNS, compute, comm)
 		}
 	}
 

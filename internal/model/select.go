@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adatm/internal/accum"
+	"adatm/internal/audit"
 	"adatm/internal/memo"
 	"adatm/internal/par"
 	"adatm/internal/tensor"
@@ -31,13 +32,13 @@ type Candidate struct {
 // measurements later: the tensor shape, the estimator's distinct-tuple table
 // (the model's inputs), and why the chosen candidate won.
 type Plan struct {
-	Order      int
-	Rank       int
-	Budget     int64 // bytes; <= 0 means unbounded
-	Dims       []int // mode dimensions (selector's mode order)
-	NNZ        int64
-	Exact      bool // distinct counts were exact, not sketched
-	ByTime     bool // ranked by the roofline time model, not op counts
+	Order  int
+	Rank   int
+	Budget int64 // bytes; <= 0 means unbounded
+	Dims   []int // mode dimensions (selector's mode order)
+	NNZ    int64
+	Exact  bool // distinct counts were exact, not sketched
+	ByTime bool // ranked by the roofline time model, not op counts
 	// BudgetFallback reports that no candidate fit the budget and the
 	// smallest-footprint candidate was chosen instead of the op-optimal one.
 	BudgetFallback bool
@@ -228,11 +229,11 @@ func dpBinary(est *Estimator, rank int) *memo.Strategy {
 func (p *Plan) Reason() string {
 	switch {
 	case p.BudgetFallback:
-		return "budget-fallback"
+		return audit.ReasonBudgetFallback
 	case p.ByTime:
-		return "time-optimal"
+		return audit.ReasonTimeOptimal
 	default:
-		return "op-optimal"
+		return audit.ReasonOpOptimal
 	}
 }
 

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 
 make build
 make vet
+test -z "$(gofmt -l .)"
+
+# The benchmark is its own Go module (e2ebench/go.mod replaces adatm with
+# this checkout), so the root build never compiles it: vet it against the
+# current API.
+(cd e2ebench && go vet ./...)
 make test
 make test-race
 
