@@ -454,9 +454,6 @@ type EngineConfig struct {
 	// Strategy overrides the memoization tree for the memo engines; nil
 	// uses the kind's default shape.
 	Strategy *Strategy
-	// RetainBuffers keeps memoized value storage allocated across ALS
-	// iterations (steady memory at peak, zero per-iteration allocation).
-	RetainBuffers bool
 	// Accum selects the output-accumulation backend (default AccumAuto:
 	// per-mode model-driven choice; the adaptive kind takes its per-mode
 	// table from the plan).
@@ -539,7 +536,7 @@ func memoEngine(x *Tensor, cfg EngineConfig, s *Strategy, name string) (Engine, 
 		s = cfg.Strategy
 	}
 	return memo.NewWithConfig(x, s, memo.Config{
-		Workers: cfg.Workers, Name: name, RetainBuffers: cfg.RetainBuffers,
+		Workers: cfg.Workers, Name: name,
 		Accum: accum.Config{
 			Strategy: cfg.Accum,
 			PerMode:  cfg.accumPerMode,

@@ -215,25 +215,6 @@ func TestNVecsInitFacade(t *testing.T) {
 	}
 }
 
-func TestRetainBuffersFacade(t *testing.T) {
-	x := testTensor(t)
-	eng, err := adatm.NewEngine(x, adatm.EngineMemoBalanced, adatm.EngineConfig{Rank: 4, RetainBuffers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := adatm.DecomposeWith(x, eng, adatm.Options{Rank: 4, MaxIters: 4, Tol: 1e-12, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := adatm.Decompose(x, adatm.Options{Rank: 4, MaxIters: 4, Tol: 1e-12, Seed: 21, Engine: adatm.EngineMemoBalanced})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Fit-ref.Fit) > 1e-10 {
-		t.Errorf("retain-buffers fit %.12f differs from default %.12f", res.Fit, ref.Fit)
-	}
-}
-
 func TestMemoryBudgetPlumbing(t *testing.T) {
 	x := testTensor(t)
 	// A tiny budget must still produce a working engine (fallback strategy).
@@ -287,5 +268,71 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	empty.Checkpoint = &adatm.CheckpointConfig{Dir: filepath.Join(t.TempDir(), "none")}
 	if _, err := adatm.Resume(x, empty); err == nil {
 		t.Error("Resume from empty directory accepted")
+	}
+}
+
+// TestAdaptiveSteadyAllocScale pins the memo engine's storage policy at a
+// scale where per-iteration reallocation would dominate: once every node's
+// value storage exists, an adaptive run allocates per iteration no more
+// than twice what the streaming COO engine does on the same tensor.
+func TestAdaptiveSteadyAllocScale(t *testing.T) {
+	x := adatm.Generate(adatm.GenSpec{
+		Name: "alloc-scale", Dims: []int{400, 300, 200, 100}, NNZ: 120000,
+		Skew: []float64{0.8, 0.6, 0.4, 0.2}, Rank: 4, Noise: 0.1, Seed: 31,
+	})
+	if x.NNZ() < 100000 {
+		t.Fatalf("generated %d nonzeros, want >= 100000", x.NNZ())
+	}
+	perIter := map[adatm.EngineKind]float64{}
+	for _, kind := range []adatm.EngineKind{adatm.EngineCOO, adatm.EngineAdaptive} {
+		res, err := adatm.Decompose(x, adatm.Options{
+			Rank: 16, MaxIters: 6, Tol: 1e-15, Seed: 3, Workers: 2,
+			Engine: kind, CollectStats: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iters != 6 || res.Stats.SteadyIters == 0 {
+			t.Fatalf("%s: ran %d iterations (%d steady), want 6", kind, res.Iters, res.Stats.SteadyIters)
+		}
+		perIter[kind] = float64(res.Stats.SteadyAllocBytes) / float64(res.Stats.SteadyIters)
+	}
+	if a, c := perIter[adatm.EngineAdaptive], perIter[adatm.EngineCOO]; a > 2*c {
+		t.Errorf("adaptive allocates %.0f B/iter in steady state, more than 2x COO's %.0f", a, c)
+	}
+}
+
+// TestMalformedTensorRejected: every solver entry point validates its input
+// and returns an error for an out-of-range index instead of panicking.
+func TestMalformedTensorRejected(t *testing.T) {
+	x := adatm.Generate(adatm.GenSpec{
+		Name: "malformed", Dims: []int{12, 10, 8}, NNZ: 300, Seed: 41,
+	})
+	x.Inds[1][5] = adatm.Index(x.Dims[1])
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"Decompose", func() error {
+			_, err := adatm.Decompose(x, adatm.Options{Rank: 2, MaxIters: 2})
+			return err
+		}},
+		{"DecomposeDist", func() error {
+			_, err := adatm.DecomposeDist(x, adatm.DistOptions{Rank: 2, MaxIters: 2})
+			return err
+		}},
+		{"DecomposeAPR", func() error {
+			_, err := adatm.DecomposeAPR(x, adatm.APROptions{Rank: 2, MaxIters: 2})
+			return err
+		}},
+		{"Complete", func() error {
+			_, err := adatm.Complete(x, adatm.CompleteOptions{Rank: 2, MaxIters: 2})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if err := c.run(); err == nil {
+			t.Errorf("%s accepted an out-of-range index", c.name)
+		}
 	}
 }

@@ -133,25 +133,6 @@ func main() {
 				fatal(fmt.Errorf("%s is not supported with -procs > 1", bad.flag))
 			}
 		}
-		obsst, err := setupObs(obsConfig{
-			tracePath: *tracefile, listen: *listen, hold: *hold, workers: *workers,
-			audit: *auditRun, auditFile: *auditFile, auditWarn: *auditWarn,
-			logJSON: *logJSON, logFile: *logFile,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fatalCleanup = func() {
-			obsst.finish(*engName, *rank, nil)
-			stopProf()
-		}
-		runDist(x, obsst, distFlags{
-			rank: *rank, iters: *iters, tol: *tol, seed: *seed, workers: *workers,
-			procs: *procs, partition: *partition, transport: *transport,
-			engine: *engName, fittrace: *fittrace, jsonOut: *jsonOut,
-			outPfx: *outPfx, modelPath: *modelPath,
-		})
-		return
 	}
 
 	if *apr {
@@ -219,70 +200,87 @@ func main() {
 		obsst.finish(*engName, *rank, nil)
 		stopProf()
 	}
-	opt := adatm.Options{
-		Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers,
-		Engine: adatm.EngineKind(*engName), MemoryBudget: budgetBytes, TrackFit: *fittrace,
-		Ridge: *ridge, NonNegative: *nonneg, Accum: accumStrat,
-		CollectStats: *jsonOut,
-	}
-	obsst.options(&opt)
-	if *ckptDir != "" {
-		cfg := &adatm.CheckpointConfig{Dir: *ckptDir, Retain: *ckptKeep}
-		if n, err := strconv.Atoi(*ckptEvery); err == nil {
-			cfg.Every = n
-		} else if d, err := time.ParseDuration(*ckptEvery); err == nil {
-			cfg.Interval = d
-		} else {
-			fatal(fmt.Errorf("bad -ckpt-every %q: want an iteration count or a duration", *ckptEvery))
-		}
-		opt.Checkpoint = cfg
-	} else if *resume {
-		fatal(fmt.Errorf("-resume requires -checkpoint <dir>"))
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		tctx, cancel := context.WithTimeout(ctx, *timeout)
-		defer cancel()
-		ctx = tctx
-	}
-	if opt.Checkpoint != nil {
-		// A SIGINT/SIGTERM cancels the run between mode updates; the solver
-		// writes a final checkpoint of the last completed iteration before
-		// returning, so an interrupted run loses at most one sweep.
-		sctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		ctx = sctx
-	}
-	if ctx != context.Background() {
-		opt.Ctx = ctx
-	}
-	if *progress {
-		opt.Progress = func(s adatm.IterStats) bool {
-			fmt.Fprintf(os.Stderr, "iter %3d  fit %.8f  Δ %.3g  elapsed %v\n",
-				s.Iter, s.Fit, s.FitDelta, s.Elapsed.Round(time.Millisecond))
-			return true
-		}
-	}
-	opt.Progress = obsst.progress(*engName, *rank, opt.Progress)
 	var res *adatm.Result
-	if *resume {
-		res, err = adatm.Resume(x, opt)
-	} else {
-		res, err = adatm.Decompose(x, opt)
-	}
-	if err != nil {
-		if res != nil && res.Stopped {
-			fmt.Fprintf(os.Stderr, "cpd: stopped early: %v\n", err)
-		} else {
+	var dres *adatm.DistResult
+	var healthSum *adatm.HealthSummary
+	if *procs > 1 {
+		dopt := adatm.DistOptions{
+			Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers,
+			Procs: *procs, Partition: *partition, Transport: *transport,
+			Engine: adatm.EngineKind(*engName), TrackFit: *fittrace,
+		}
+		obsst.distOptions(&dopt)
+		dres, err = adatm.DecomposeDist(x, dopt)
+		if err != nil {
 			fatal(err)
 		}
+		res = adatm.DistResultToResult(dres)
+	} else {
+		opt := adatm.Options{
+			Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers,
+			Engine: adatm.EngineKind(*engName), MemoryBudget: budgetBytes, TrackFit: *fittrace,
+			Ridge: *ridge, NonNegative: *nonneg, Accum: accumStrat,
+			CollectStats: *jsonOut,
+		}
+		obsst.options(&opt)
+		if *ckptDir != "" {
+			cfg := &adatm.CheckpointConfig{Dir: *ckptDir, Retain: *ckptKeep}
+			if n, err := strconv.Atoi(*ckptEvery); err == nil {
+				cfg.Every = n
+			} else if d, err := time.ParseDuration(*ckptEvery); err == nil {
+				cfg.Interval = d
+			} else {
+				fatal(fmt.Errorf("bad -ckpt-every %q: want an iteration count or a duration", *ckptEvery))
+			}
+			opt.Checkpoint = cfg
+		} else if *resume {
+			fatal(fmt.Errorf("-resume requires -checkpoint <dir>"))
+		}
+		ctx := context.Background()
+		if *timeout > 0 {
+			tctx, cancel := context.WithTimeout(ctx, *timeout)
+			defer cancel()
+			ctx = tctx
+		}
+		if opt.Checkpoint != nil {
+			// A SIGINT/SIGTERM cancels the run between mode updates; the solver
+			// writes a final checkpoint of the last completed iteration before
+			// returning, so an interrupted run loses at most one sweep.
+			sctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+			defer stop()
+			ctx = sctx
+		}
+		if ctx != context.Background() {
+			opt.Ctx = ctx
+		}
+		if *progress {
+			opt.Progress = func(s adatm.IterStats) bool {
+				fmt.Fprintf(os.Stderr, "iter %3d  fit %.8f  Δ %.3g  elapsed %v\n",
+					s.Iter, s.Fit, s.FitDelta, s.Elapsed.Round(time.Millisecond))
+				return true
+			}
+		}
+		opt.Progress = obsst.progress(*engName, *rank, opt.Progress)
+		if *resume {
+			res, err = adatm.Resume(x, opt)
+		} else {
+			res, err = adatm.Decompose(x, opt)
+		}
+		if err != nil {
+			if res != nil && res.Stopped {
+				fmt.Fprintf(os.Stderr, "cpd: stopped early: %v\n", err)
+			} else {
+				fatal(err)
+			}
+		}
+		healthSum = obsst.healthSummary()
 	}
 	auditRec := obsst.latestAudit()
 	if *auditRun && auditRec == nil {
 		fmt.Fprintln(os.Stderr, "cpd: -audit: no model decision recorded (auditing needs -engine adaptive without a strategy override)")
 	}
 	if *jsonOut {
-		if err := writeReport(os.Stdout, *engName, *rank, res, auditRec, obsst.healthSummary()); err != nil {
+		if err := writeReport(os.Stdout, *engName, *rank, res, auditRec, healthSum); err != nil {
 			fatal(err)
 		}
 	} else {
@@ -294,6 +292,10 @@ func main() {
 		fmt.Printf("engine=%s rank=%d iters=%d converged=%v fit=%.6f\n", *engName, *rank, res.Iters, res.Converged, res.Fit)
 		fmt.Printf("total=%v mttkrp=%v (%.0f%%)\n", res.TotalTime.Round(1e6), res.MTTKRPTime.Round(1e6),
 			100*float64(res.MTTKRPTime)/float64(res.TotalTime))
+		if dres != nil {
+			fmt.Printf("dist procs=%d partition=%s transport=%s volume=%dB/iter messages=%d retries=%d\n",
+				*procs, *partition, *transport, dres.Comm.VolumeBytes(*rank), dres.Messages, dres.Retries)
+		}
 		fmt.Printf("lambda=%v\n", res.Lambda)
 		if *healthRun {
 			if s := obsst.healthSummary(); s != nil {

@@ -204,6 +204,15 @@ func (o *obsState) options(opt *adatm.Options) {
 	opt.Health = o.health
 }
 
+// distOptions fills the Metrics/Audit fields of a sharded run's options.
+func (o *obsState) distOptions(opt *adatm.DistOptions) {
+	if o == nil {
+		return
+	}
+	opt.Metrics = o.metrics
+	opt.Audit = o.audit
+}
+
 // healthSummary returns the run's final health verdict, or nil when no
 // probe was wired.
 func (o *obsState) healthSummary() *adatm.HealthSummary {

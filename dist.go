@@ -207,21 +207,12 @@ func buildTransport(opt *DistOptions) (dist.Transport, error) {
 	}
 }
 
-// DistResultToResult converts a distributed result to the single-node
-// Result shape so Result-based reporting (model save, reconstruction,
-// CLI summaries) applies unchanged.
+// DistResultToResult returns the single-node Result embedded in a
+// distributed result, so Result-based reporting (model save,
+// reconstruction, CLI summaries) applies unchanged.
 func DistResultToResult(r *DistResult) *Result {
 	if r == nil {
 		return nil
 	}
-	return &Result{
-		Lambda:     r.Lambda,
-		Factors:    r.Factors,
-		Iters:      r.Iters,
-		Fit:        r.Fit,
-		Converged:  r.Converged,
-		FitTrace:   r.FitTrace,
-		MTTKRPTime: r.MTTKRPTime,
-		TotalTime:  r.TotalTime,
-	}
+	return &r.Result
 }

@@ -2,6 +2,7 @@ package cpd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -47,6 +48,12 @@ type APRResult struct {
 
 // RunAPR fits a Poisson CP model to a non-negative (count) tensor.
 func RunAPR(x *tensor.COO, opt APROptions) (*APRResult, error) {
+	// Validate before anything indexes by the declared dims: an out-of-range
+	// index would otherwise panic deep in the loop (inside a worker
+	// goroutine for APR, where the caller cannot recover it).
+	if err := x.Validate(); err != nil {
+		return nil, fmt.Errorf("cpd: %w", err)
+	}
 	n := x.Order()
 	if opt.Rank <= 0 {
 		return nil, errors.New("cpd: Rank must be positive")

@@ -2,6 +2,7 @@ package cpd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -71,6 +72,12 @@ func buildRowIndex(x *tensor.COO, mode int) rowIndex {
 
 // Complete fits a completion model to the observed entries of x.
 func Complete(x *tensor.COO, opt CompleteOptions) (*CompleteResult, error) {
+	// Validate before anything indexes by the declared dims: an out-of-range
+	// index would otherwise panic deep in the loop (inside a worker
+	// goroutine for APR, where the caller cannot recover it).
+	if err := x.Validate(); err != nil {
+		return nil, fmt.Errorf("cpd: %w", err)
+	}
 	n := x.Order()
 	if opt.Rank <= 0 {
 		return nil, errors.New("cpd: Rank must be positive")

@@ -36,18 +36,12 @@ type RunOptions struct {
 	Metrics *obs.Registry
 }
 
-// Result holds a distributed decomposition. The solver fields mirror
-// cpd.Result; the trailing fields report the communication actually
-// performed.
+// Result holds a distributed decomposition: process 0's cpd.Result, with
+// Factors assembled from the row owners, MTTKRPTime (shard MTTKRP plus
+// fold) summed across processes and TotalTime covering the whole run, plus
+// the communication actually performed.
 type Result struct {
-	Lambda     []float64
-	Factors    []*dense.Matrix // column-normalized, assembled from the row owners
-	Iters      int
-	Fit        float64
-	Converged  bool
-	FitTrace   []float64
-	MTTKRPTime time.Duration // shard MTTKRP plus fold, summed across processes
-	TotalTime  time.Duration
+	cpd.Result
 	// Comm is the partition's predicted per-iteration communication.
 	Comm CommStats
 	// Messages counts transport messages actually sent (folds, expands,
@@ -130,15 +124,10 @@ func Run(x *tensor.COO, c *Cluster, tr Transport, opt RunOptions) (*Result, erro
 	// owns are empty rows, zero after the first update (matching the
 	// single-node solver, whose zero MTTKRP rows solve and normalize to
 	// zero).
-	r0 := results[0]
-	res := &Result{
-		Lambda: r0.Lambda, Factors: make([]*dense.Matrix, x.Order()),
-		Iters: r0.Iters, Fit: r0.Fit, Converged: r0.Converged, FitTrace: r0.FitTrace,
-		TotalTime: time.Since(start),
-		Comm:      c.Comm,
-		Messages:  shared.msgs.Load(),
-	}
-	for _, rp := range results {
+	res := &Result{Result: *results[0], Comm: c.Comm, Messages: shared.msgs.Load()}
+	res.Factors = make([]*dense.Matrix, x.Order())
+	res.TotalTime = time.Since(start)
+	for _, rp := range results[1:] { // process 0's time is already in res
 		res.MTTKRPTime += rp.MTTKRPTime
 	}
 	if rt, ok := tr.(retrier); ok {

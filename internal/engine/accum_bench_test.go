@@ -50,7 +50,7 @@ func accumBenchEngines(b *testing.B, x *tensor.COO, s accum.Strategy) []engine.E
 	b.Helper()
 	cfg := accum.Config{Strategy: s}
 	memoEng, err := memo.NewWithConfig(x, memo.Flat(x.Order()),
-		memo.Config{Name: "memo-flat", RetainBuffers: true, Accum: cfg})
+		memo.Config{Name: "memo-flat", Accum: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}

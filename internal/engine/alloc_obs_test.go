@@ -40,14 +40,14 @@ func TestInstrumentedSteadyStateZeroAlloc(t *testing.T) {
 	rec.RecordDecision(model.NewDecision(model.Select(x, model.Options{Rank: r})))
 	rec.Reconcile(audit.Measured{Iters: 1, OpsPerIter: 1000, PeakValueBytes: 1 << 10, IndexBytes: 1 << 10})
 
-	memoEng, err := memo.NewWithConfig(x, memo.Balanced(x.Order()), memo.Config{Workers: 1, RetainBuffers: true, Name: "memo-retain"})
+	memoEng, err := memo.NewWithConfig(x, memo.Balanced(x.Order()), memo.Config{Workers: 1, Name: "memo"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := map[string]engine.Engine{
-		"memo-retain": memoEng,
-		"csf":         csf.NewAllMode(x, 1),
-		"csf-one":     csf.NewSingle(x, 1),
+		"memo":    memoEng,
+		"csf":     csf.NewAllMode(x, 1),
+		"csf-one": csf.NewSingle(x, 1),
 	}
 	for name, e := range engines {
 		if in, ok := e.(engine.Instrumentable); ok {

@@ -35,18 +35,18 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		outs[m] = dense.New(x.Dims[m], r)
 	}
 
-	memoEng, err := memo.NewWithConfig(x, memo.Balanced(x.Order()), memo.Config{Workers: 1, RetainBuffers: true})
+	memoEng, err := memo.NewWithConfig(x, memo.Balanced(x.Order()), memo.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := map[string]engine.Engine{
-		"memo-retain": memoEng,
-		"csf":         csf.NewAllMode(x, 1),
-		"csf-one":     csf.NewSingle(x, 1),
+		"memo":    memoEng,
+		"csf":     csf.NewAllMode(x, 1),
+		"csf-one": csf.NewSingle(x, 1),
 	}
 	for name, e := range engines {
-		// Two warm-up sweeps: the first materializes caches and retained
-		// buffers, the second settles any rank-dependent arena growth.
+		// Two warm-up sweeps: the first materializes caches and memo
+		// value storage, the second settles any rank-dependent arena growth.
 		sweepWithInvalidation(e, x, fs, outs)
 		sweepWithInvalidation(e, x, fs, outs)
 		allocs := testing.AllocsPerRun(5, func() {
@@ -72,7 +72,7 @@ func TestSteadyStateZeroAllocPrivatized(t *testing.T) {
 
 	acfg := accum.Config{Strategy: accum.Privatize, Workers: 1}
 	memoEng, err := memo.NewWithConfig(x, memo.Balanced(x.Order()),
-		memo.Config{Workers: 1, RetainBuffers: true, Accum: acfg})
+		memo.Config{Workers: 1, Accum: acfg})
 	if err != nil {
 		t.Fatal(err)
 	}

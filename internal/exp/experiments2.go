@@ -30,7 +30,8 @@ func E6Memory(cfg Config) *Table {
 				fmt.Sprintf("%.2f", float64(aux)/float64(cooBytes)))
 		}
 	}
-	t.Notes = append(t.Notes, "coo bytes = nnz·(4·N + 8); the coo engine needs no auxiliary structures")
+	t.Notes = append(t.Notes, "coo bytes = nnz·(4·N + 8); the coo engine needs no auxiliary structures",
+		"peak values = resident value storage; a memo engine keeps every non-leaf node's nnz_node·R matrix across iterations")
 	return t
 }
 

@@ -20,13 +20,17 @@ import (
 // once at construction; every MTTKRP materializes (or reuses) the value
 // matrices along the path from the root to the requested mode's leaf, and
 // FactorUpdated invalidates exactly the nodes contracted with the factor
-// that changed.
+// that changed. A node's value storage is allocated on its first
+// materialization (or when R grows) and kept for the engine's life:
+// invalidation only marks it stale, and the next rebuild overwrites it in
+// place, so the resident footprint is every non-leaf node's nelem·R·8 bytes
+// — the figure the cost model budgets — and steady-state sweeps allocate
+// nothing.
 type Engine struct {
 	x       *tensor.COO
 	strat   *Strategy
 	name    string
 	workers int
-	retain  bool
 
 	root   *node
 	all    []*node
@@ -59,15 +63,17 @@ type Engine struct {
 	pool     *accum.Pool
 	privBody func(worker, lo, hi int)
 
-	ctr        engine.Counters
-	idxBytes   int64
-	curValB    atomic.Int64
-	peakValB   atomic.Int64
+	ctr      engine.Counters
+	idxBytes int64
+	// valB is the value storage the nodes hold. It only grows (a rank
+	// increase swaps a buffer for a larger one), so it is both the resident
+	// and the peak figure.
+	valB       atomic.Int64
 	symbolicNS int64
 
 	// Memoization effectiveness counters: a hit is an ensure request served
-	// by an already-materialized node, a miss is a node (re)build, an
-	// eviction is a cached node dropped by invalidation. Atomic so a live
+	// by a node holding current values, a miss is a node (re)build, an
+	// eviction is a current node marked stale by invalidation. Atomic so a live
 	// /metrics scrape can read them mid-run; the mutating paths are the
 	// single-threaded kernel entry, so the adds never contend.
 	hits   atomic.Int64
@@ -90,11 +96,6 @@ func New(x *tensor.COO, strat *Strategy, workers int, name string) (*Engine, err
 type Config struct {
 	Workers int
 	Name    string
-	// RetainBuffers keeps each node's value storage allocated across
-	// invalidations, trading steady peak memory (every node's buffer lives
-	// simultaneously after the first iteration) for zero per-iteration
-	// allocation.
-	RetainBuffers bool
 	// Accum is the output-accumulation policy for the leaf contraction
 	// (LockFree is forced on — the scatter baseline here takes no locks).
 	Accum accum.Config
@@ -109,7 +110,7 @@ func NewWithConfig(x *tensor.COO, strat *Strategy, cfg Config) (*Engine, error) 
 	if name == "" {
 		name = "memo"
 	}
-	e := &Engine{x: x, strat: strat, name: name, workers: cfg.Workers, retain: cfg.RetainBuffers}
+	e := &Engine{x: x, strat: strat, name: name, workers: cfg.Workers}
 	start := time.Now()
 	e.root, e.all, e.leaves = buildTree(x, strat, cfg.Workers)
 	e.symbolicNS = time.Since(start).Nanoseconds()
@@ -147,8 +148,8 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) Stats() engine.Stats {
 	s := engine.Stats{
 		IndexBytes:     e.idxBytes,
-		ValueBytes:     e.curValB.Load(),
-		PeakValueBytes: e.peakValB.Load(),
+		ValueBytes:     e.valB.Load(),
+		PeakValueBytes: e.valB.Load(),
 		SymbolicNS:     e.symbolicNS,
 	}
 	e.ctr.Fill(&s)
@@ -157,13 +158,13 @@ func (e *Engine) Stats() engine.Stats {
 
 // MemoStats reports the memoization effectiveness counters: ensure requests
 // served from cache (hits), node (re)builds (misses), and cached nodes
-// dropped by invalidation (evictions).
+// marked stale by invalidation (evictions).
 func (e *Engine) MemoStats() (hits, misses, evictions int64) {
 	return e.hits.Load(), e.misses.Load(), e.evicts.Load()
 }
 
 // Instrument implements engine.Instrumentable: the memoization counters and
-// live value-storage gauge go to the registry, and node rebuilds are spanned
+// value-storage gauges go to the registry, and node rebuilds are spanned
 // in the tracer (named memo.rebuild[lo:hi) after each node's mode range).
 // The worst per-node chunk imbalance of the reduction schedule is exported
 // as a gauge — the number the weighted scheduler exists to keep near 1.
@@ -188,14 +189,13 @@ func (e *Engine) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 		"Memoized-node requests that (re)built the node.", l,
 		func() float64 { return float64(e.misses.Load()) })
 	reg.CounterFunc("adatm_memo_evictions_total",
-		"Cached nodes dropped by factor invalidation.", l,
+		"Cached nodes marked stale by factor invalidation.", l,
 		func() float64 { return float64(e.evicts.Load()) })
+	valueBytes := func() float64 { return float64(e.valB.Load()) }
 	reg.GaugeFunc("adatm_memo_value_bytes",
-		"Live semi-sparse value storage of the strategy tree.", l,
-		func() float64 { return float64(e.curValB.Load()) })
+		"Resident semi-sparse value storage of the strategy tree.", l, valueBytes)
 	reg.GaugeFunc("adatm_memo_peak_value_bytes",
-		"Peak simultaneously live value storage.", l,
-		func() float64 { return float64(e.peakValB.Load()) })
+		"Peak resident value storage (equal to the resident figure: value storage only grows).", l, valueBytes)
 	worst := 1.0
 	for _, t := range e.all {
 		if t.parent == nil {
@@ -215,53 +215,38 @@ func (e *Engine) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 func (e *Engine) ResetStats() { e.ctr.Reset() }
 
 // FactorUpdated implements engine.Engine: every cached node contracted with
-// factors[mode] becomes stale and is dropped.
+// factors[mode] becomes stale; its storage stays for the next rebuild.
 func (e *Engine) FactorUpdated(mode int) {
 	for _, t := range e.all {
-		if t.vals != nil && t.dependsOn(mode) {
-			e.free(t)
+		if t.valid && t.dependsOn(mode) {
+			e.invalidate(t)
 		}
 	}
 }
 
-// invalidateAll drops every cached value matrix (used when R changes).
+// invalidateAll marks every cached value matrix stale (used when R changes).
 func (e *Engine) invalidateAll() {
 	for _, t := range e.all {
-		if t.vals != nil {
-			e.free(t)
+		if t.valid {
+			e.invalidate(t)
 		}
 	}
 }
 
-func (e *Engine) free(t *node) {
-	if !e.retain {
-		e.curValB.Add(-int64(t.nelem) * int64(e.rank) * 8)
-	}
-	t.vals = nil
+func (e *Engine) invalidate(t *node) {
+	t.valid = false
 	e.evicts.Add(1)
 }
 
+// alloc shapes t.vals as nelem × r over the node's storage, allocating only
+// when the storage is too small (first materialization, or R grew).
 func (e *Engine) alloc(t *node, r int) {
 	need := t.nelem * r
-	if e.retain {
-		if cap(t.buf) >= need {
-			// Reuse the retained storage through the node's own matrix
-			// header: no allocation, bytes already counted.
-			t.mat = dense.Matrix{Rows: t.nelem, Cols: r, Data: t.buf[:need]}
-			t.vals = &t.mat
-			return
-		}
-		// Replacing retained storage (rank grew): swap the accounting.
-		e.curValB.Add(-int64(cap(t.buf)) * 8)
+	if have := cap(t.vals.Data); have < need {
+		e.valB.Add(int64(need-have) * 8)
+		t.vals.Data = make([]float64, need)
 	}
-	t.vals = dense.New(t.nelem, r)
-	if e.retain {
-		t.buf = t.vals.Data
-	}
-	cur := e.curValB.Add(int64(need) * 8)
-	if cur > e.peakValB.Load() {
-		e.peakValB.Store(cur)
-	}
+	t.vals = dense.Matrix{Rows: t.nelem, Cols: r, Data: t.vals.Data[:need]}
 }
 
 // MTTKRP implements engine.Engine.
@@ -298,13 +283,13 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 	return nil
 }
 
-// ensure materializes t.vals (recursively materializing ancestors first),
+// ensure brings t.vals up to date (recursively ensuring ancestors first),
 // counting cache hits and (re)build misses and spanning each rebuild.
 func (e *Engine) ensure(t *node, factors []*dense.Matrix, r int) {
 	if t.parent == nil {
 		return
 	}
-	if t.vals != nil {
+	if t.valid {
 		e.hits.Add(1)
 		return
 	}
@@ -312,13 +297,14 @@ func (e *Engine) ensure(t *node, factors []*dense.Matrix, r int) {
 	p := t.parent
 	e.ensure(p, factors, r)
 	e.alloc(t, r)
+	t.valid = true
 	if e.tr != nil {
 		sp := e.tr.StartSpan(e.spanNames[t.id], 0)
-		e.compute(t, factors, r, t.vals, nil)
+		e.compute(t, factors, r, &t.vals, nil)
 		sp.End()
 		return
 	}
-	e.compute(t, factors, r, t.vals, nil)
+	e.compute(t, factors, r, &t.vals, nil)
 }
 
 // compute evaluates the contraction of the parent's semi-sparse tensor with

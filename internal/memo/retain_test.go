@@ -11,7 +11,7 @@ import (
 func TestRetainBuffersCorrectness(t *testing.T) {
 	x := tensor.RandomClustered(4, 10, 500, 0.8, 421)
 	fs := randomFactors(x, 6, 422)
-	e, err := NewWithConfig(x, Balanced(4), Config{Workers: 2, RetainBuffers: true})
+	e, err := NewWithConfig(x, Balanced(4), Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRetainBuffersCorrectness(t *testing.T) {
 func TestRetainBuffersNoReallocation(t *testing.T) {
 	x := tensor.RandomClustered(4, 10, 400, 0.7, 423)
 	fs := randomFactors(x, 4, 424)
-	e, err := NewWithConfig(x, Balanced(4), Config{Workers: 1, RetainBuffers: true})
+	e, err := NewWithConfig(x, Balanced(4), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +47,13 @@ func TestRetainBuffersNoReallocation(t *testing.T) {
 	// Buffers must be identical across sweeps (pointer-stable).
 	bufs := make(map[*node]*float64)
 	for _, nd := range e.all {
-		if nd.buf != nil {
-			bufs[nd] = &nd.buf[0]
+		if nd.vals.Data != nil {
+			bufs[nd] = &nd.vals.Data[0]
 		}
 	}
 	sweep()
 	for _, nd := range e.all {
-		if p, ok := bufs[nd]; ok && &nd.buf[0] != p {
+		if p, ok := bufs[nd]; ok && &nd.vals.Data[0] != p {
 			t.Fatal("retained buffer was reallocated")
 		}
 	}
@@ -64,7 +64,7 @@ func TestRetainBuffersNoReallocation(t *testing.T) {
 
 func TestRetainBuffersRankChange(t *testing.T) {
 	x := tensor.RandomClustered(3, 10, 300, 0.6, 425)
-	e, err := NewWithConfig(x, Balanced(3), Config{Workers: 1, RetainBuffers: true})
+	e, err := NewWithConfig(x, Balanced(3), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,30 +85,24 @@ func TestRetainBuffersRankChange(t *testing.T) {
 	}
 }
 
-// The ablation: steady-state sweeps must allocate (almost) nothing with
-// retained buffers, and one value matrix per node without.
+// Steady-state sweeps must allocate (almost) nothing: every node's value
+// storage is allocated once and rebuilt in place.
 func BenchmarkRetainBuffersAblation(b *testing.B) {
 	x := tensor.RandomClustered(4, 4096, 100000, 0.8, 426)
 	fs := randomFactors(x, 16, 427)
-	for _, retain := range []bool{false, true} {
-		name := "alloc-per-iter"
-		if retain {
-			name = "retain-buffers"
-		}
-		e, err := NewWithConfig(x, Balanced(4), Config{RetainBuffers: retain})
-		if err != nil {
-			b.Fatal(err)
-		}
-		out := dense.New(x.Dims[0], 16)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for mode := 0; mode < 4; mode++ {
-					mm := &dense.Matrix{Rows: x.Dims[mode], Cols: 16, Data: out.Data[:x.Dims[mode]*16]}
-					e.MTTKRP(mode, fs, mm)
-					e.FactorUpdated(mode)
-				}
-			}
-		})
+	e, err := NewWithConfig(x, Balanced(4), Config{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	out := dense.New(x.Dims[0], 16)
+	b.Run("retain-buffers", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for mode := 0; mode < 4; mode++ {
+				mm := &dense.Matrix{Rows: x.Dims[mode], Cols: 16, Data: out.Data[:x.Dims[mode]*16]}
+				e.MTTKRP(mode, fs, mm)
+				e.FactorUpdated(mode)
+			}
+		}
+	})
 }

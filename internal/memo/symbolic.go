@@ -29,17 +29,13 @@ type node struct {
 	redPtr   []int64
 	redElems []int32
 
-	// vals is the nelem × R semi-sparse value matrix; nil when invalidated.
-	// Leaf nodes never materialize vals: their contraction is fused with
-	// the MTTKRP output scatter.
-	vals *dense.Matrix
-	// buf optionally retains the value storage across invalidations (the
-	// engine's RetainBuffers mode), avoiding one allocation per node per
-	// ALS iteration.
-	buf []float64
-	// mat is the reusable matrix header wrapped around buf in retain mode,
-	// so re-materializing a node allocates nothing.
-	mat dense.Matrix
+	// vals is the nelem × R semi-sparse value matrix, allocated on first
+	// materialization and kept across invalidations; valid reports whether
+	// it holds the values of the current factors. Leaf nodes never
+	// materialize vals: their contraction is fused with the MTTKRP output
+	// scatter.
+	vals  dense.Matrix
+	valid bool
 
 	// Kernel-layer state resolved once at build time so the numeric phase
 	// performs no per-call setup allocation: deltaIdx[k] is the parent's

@@ -16,11 +16,11 @@ type Prediction struct {
 	// (4 bytes × parentElems) and the reduction pointer array (8 bytes ×
 	// (elems+1)).
 	IndexBytes int64
-	// PeakValueBytes is the predicted maximum simultaneously live
-	// semi-sparse value storage: the union of the value matrices on the
-	// paths to two consecutive leaves (the live set while the ALS sweep
-	// advances from one mode to the next), maximized over the sweep. Leaf
-	// nodes are excluded — the engine fuses their contraction with the
+	// PeakValueBytes is the predicted resident semi-sparse value storage:
+	// every non-leaf node's elems · R · 8 bytes. The engine allocates a
+	// node's value matrix on first materialization and keeps it across
+	// invalidations, so after the first sweep all of them are live at once.
+	// Leaf nodes are excluded — the engine fuses their contraction with the
 	// output scatter and never materializes them.
 	PeakValueBytes int64
 }
@@ -28,52 +28,21 @@ type Prediction struct {
 // Predict evaluates the cost model for a strategy at the given rank, using
 // distinct-tuple counts from est.
 func Predict(est *Estimator, s *memo.Strategy, rank int) Prediction {
-	n := est.Order()
 	var p Prediction
-	elems := func(node *memo.Strategy) int64 { return est.Distinct(node.Lo, node.Hi) }
-
-	// Walk the tree accumulating ops and index bytes, and remember each
-	// node's predicted element count for the peak computation.
-	type liveNode struct {
-		lo, hi int
-		bytes  int64
-	}
-	var lives []liveNode
 	var walk func(node *memo.Strategy, parentElems int64)
 	walk = func(node *memo.Strategy, parentElems int64) {
 		for _, c := range node.Children {
-			ce := elems(c)
+			ce := est.Distinct(c.Lo, c.Hi)
 			delta := int64(node.Span() - c.Span())
 			p.Ops += parentElems * (delta + 1) * int64(rank)
 			p.IndexBytes += ce*int64(c.Span())*4 + parentElems*4 + (ce+1)*8
 			if !c.IsLeaf() {
-				lives = append(lives, liveNode{c.Lo, c.Hi, ce * int64(rank) * 8})
+				p.PeakValueBytes += ce * int64(rank) * 8
 			}
 			walk(c, ce)
 		}
 	}
-	walk(s, elems(s))
-
-	// Peak live value bytes: while computing mode m's MTTKRP, the ancestors
-	// of leaf m are materialized and the ancestors of the previously swept
-	// leaf (m-1, cyclically) may still be live.
-	pathBytes := func(prev, cur int) int64 {
-		var b int64
-		for _, ln := range lives {
-			onPrev := ln.lo <= prev && prev < ln.hi
-			onCur := ln.lo <= cur && cur < ln.hi
-			if onPrev || onCur {
-				b += ln.bytes
-			}
-		}
-		return b
-	}
-	for m := 0; m < n; m++ {
-		prev := (m + n - 1) % n
-		if b := pathBytes(prev, m); b > p.PeakValueBytes {
-			p.PeakValueBytes = b
-		}
-	}
+	walk(s, est.Distinct(s.Lo, s.Hi))
 	return p
 }
 

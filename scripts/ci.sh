@@ -40,6 +40,10 @@ go test -race -count=1 -run 'TestSwamp|TestServerIters' ./internal/health/ ./int
 # concurrent by construction.
 go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTransport' ./internal/dist/
 
+# Every example runs end to end: all but one drive the adaptive memo engine
+# or the memory model, which no other step exercises through the public API.
+make examples
+
 make bench-smoke
 make obs-smoke
 make ckpt-smoke
