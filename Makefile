@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-smoke bench-kernels bench-mttkrp obs-smoke ckpt-smoke dist-smoke perf-baseline perf-gate ci fuzz experiments experiments-quick examples clean
+.PHONY: all build vet test test-race bench bench-smoke bench-kernels bench-mttkrp obs-smoke ckpt-smoke dist-smoke ci fuzz experiments experiments-quick examples clean
 
 all: build vet test
 
@@ -53,18 +53,6 @@ bench-kernels:
 # output) tensor. See DESIGN.md §2f for the expected crossover.
 bench-mttkrp:
 	$(GO) test -bench=MTTKRPAccum -benchmem -json -run='^$$' ./internal/engine/ > BENCH_6.json.tmp && mv BENCH_6.json.tmp BENCH_6.json
-
-# Refresh the committed perf-trajectory baseline (DESIGN.md §2h): the full
-# scenario registry at full scale, written atomically by perfgate itself.
-perf-baseline:
-	$(GO) run ./cmd/perfgate run -out BENCH_8.json
-
-# Perf-pipeline smoke for CI: one quick sample of every scenario, gated
-# against itself. Identical sample sets can never be a significant
-# regression, so this must pass — it proves the measure/compare/gate path
-# end to end without paying for a real baseline comparison.
-perf-gate:
-	$(GO) run ./cmd/perfgate gate -self -quick -samples 1
 
 ci:
 	./scripts/ci.sh

@@ -8,8 +8,6 @@
 //	adabench -exp E3,E7      # run a subset
 //	adabench -markdown       # emit markdown tables (for EXPERIMENTS.md)
 //	adabench -rank 32        # override the default rank
-//	adabench -suite          # run the perf-trajectory suite (result JSON to stdout)
-//	adabench -baseline F     # run the suite and gate it against baseline F
 package main
 
 import (
@@ -22,11 +20,9 @@ import (
 	"time"
 
 	"adatm"
-	"adatm/internal/audit"
 	"adatm/internal/exp"
 	"adatm/internal/obs"
 	"adatm/internal/par"
-	"adatm/internal/perf"
 )
 
 func main() {
@@ -43,7 +39,6 @@ func run() int {
 		jsonOut   = flag.Bool("json", false, "render tables as JSON records")
 		pprofOut  = flag.String("pprof", "", "write a CPU profile of the whole run to this file")
 		rtTrace   = flag.String("runtimetrace", "", "write a runtime execution trace of the whole run to this file")
-		traceOut  = flag.String("trace", "", "deprecated alias for -runtimetrace")
 		tracefile = flag.String("tracefile", "", "write a Chrome trace-event JSON of the suite's spans (load in Perfetto)")
 		listen    = flag.String("listen", "", "serve /metrics, /healthz, /run, /debug/pprof on this address while the suite runs")
 		rank      = flag.Int("rank", 16, "CP rank for non-sweeping experiments")
@@ -52,17 +47,8 @@ func run() int {
 		accumStr  = flag.String("accum", "auto", "MTTKRP output accumulation: auto (model decides per mode), scatter, privatize")
 		auditFile = flag.String("auditfile", "", "write the model-audit decision ledger (JSONL) from model experiments (E7) to this file")
 		healthRun = flag.Bool("health", false, "attach a numerical-health probe to the full CP-ALS experiment runs (E2); with -listen, serves the shared iteration stream at /iters")
-		suiteMode = flag.Bool("suite", false, "run the perf-trajectory benchmark suite instead of the experiments; result JSON to stdout")
-		baseline  = flag.String("baseline", "", "run the perf suite and gate it against this baseline result file (implies -suite; exit 1 on regression)")
-		samples   = flag.Int("samples", 5, "measured samples per perf-suite scenario (with -suite/-baseline)")
 	)
 	flag.Parse()
-	if *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "adabench: -trace is deprecated; use -runtimetrace")
-		if *rtTrace == "" {
-			*rtTrace = *traceOut
-		}
-	}
 
 	if *pprofOut != "" {
 		f, err := os.Create(*pprofOut)
@@ -129,10 +115,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "debug server listening on http://%s\n", srv.Addr())
 	}
 
-	if *suiteMode || *baseline != "" {
-		return runPerfSuite(*baseline, *samples, *quick, *workers, *auditFile, tracer, reg, srv)
-	}
-
 	accumStrat, err := adatm.ParseAccumStrategy(*accumStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adabench:", err)
@@ -197,58 +179,5 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
-	return 0
-}
-
-// runPerfSuite executes the perf-trajectory scenario registry (-suite),
-// optionally gating it against a committed baseline (-baseline). The suite
-// reuses the experiment CLI's observability wiring: spans into -tracefile,
-// adatm_perf_* gauges and /timeseries onto -listen, and perf.suite events
-// into -auditfile.
-func runPerfSuite(baseline string, samples int, quick bool, workers int, auditFile string, tracer *obs.Tracer, reg *obs.Registry, srv *obs.Server) int {
-	pcfg := perf.RunnerConfig{
-		Samples: samples, Quick: quick, Workers: workers,
-		Tracer: tracer, Metrics: reg, Log: os.Stderr,
-	}
-	if auditFile != "" {
-		f, err := os.Create(auditFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		defer f.Close()
-		pcfg.Audit = audit.NewRecorder(audit.Config{Ledger: f})
-	}
-	if srv != nil {
-		sampler := obs.NewSampler(0, 0)
-		sampler.Start()
-		defer sampler.Stop()
-		srv.SetSampler(sampler)
-		pcfg.Sampler = sampler
-	}
-	res, err := perf.RunSuite(perf.Scenarios(), pcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adabench:", err)
-		return 1
-	}
-	if baseline == "" {
-		if err := res.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		return 0
-	}
-	base, err := perf.LoadFile(baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adabench:", err)
-		return 1
-	}
-	cmp := perf.Compare(base, res, perf.DefaultThresholds())
-	cmp.WriteTable(os.Stdout)
-	if err := cmp.Gate(); err != nil {
-		fmt.Fprintln(os.Stderr, "adabench:", err)
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "adabench: perf gate passed")
 	return 0
 }

@@ -21,6 +21,7 @@ import (
 	"os/signal"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -46,7 +47,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit a JSON run report (with per-phase breakdown) to stdout")
 		pprofOut   = flag.String("pprof", "", "write a CPU profile to this file")
 		rtTrace    = flag.String("runtimetrace", "", "write a Go runtime execution trace to this file")
-		traceOut   = flag.String("trace", "", "deprecated alias for -runtimetrace")
 		tracefile  = flag.String("tracefile", "", "write a Chrome trace-event JSON of CP-ALS spans (load in Perfetto)")
 		listen     = flag.String("listen", "", "serve /metrics, /healthz, /run, /plan, /debug/pprof on this address (e.g. :9090)")
 		hold       = flag.Bool("hold", false, "with -listen: keep the debug server up after the run until interrupted")
@@ -78,10 +78,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "cpd: -trace is deprecated; use -runtimetrace")
-		if *rtTrace == "" {
-			*rtTrace = *traceOut
+	if !*plan {
+		if err := checkFlags(solverMode(*procs, *apr, *complete), changedFlags()); err != nil {
+			fatal(err)
 		}
 	}
 	budgetBytes, err := parseBytes(*budget)
@@ -115,24 +114,6 @@ func main() {
 		}
 		fmt.Print(adatm.PlanFor(x, *rank, budgetBytes))
 		return
-	}
-
-	if *procs > 1 {
-		// The distributed solver is plain CP-ALS over shards; modes that
-		// change the update rule or need single-node loop hooks don't apply.
-		for _, bad := range []struct {
-			set  bool
-			flag string
-		}{
-			{*apr, "-apr"}, {*complete, "-complete"}, {*nonneg, "-nonneg"},
-			{*ridge != 0, "-ridge"}, {*ckptDir != "", "-checkpoint"}, {*resume, "-resume"},
-			{*healthRun, "-health"}, {*healthFile != "", "-healthfile"},
-			{*timeout != 0, "-timeout"},
-		} {
-			if bad.set {
-				fatal(fmt.Errorf("%s is not supported with -procs > 1", bad.flag))
-			}
-		}
 	}
 
 	if *apr {
@@ -326,6 +307,71 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %d factor files with prefix %s\n", len(res.Factors)+1, *outPfx)
 	}
 	obsst.finish(*engName, *rank, res)
+}
+
+// Solver modes other than standard CP-ALS, named by the flag that selects
+// them; checkFlags reports them in its errors.
+const (
+	modeDist     = "-procs > 1"
+	modeAPR      = "-apr"
+	modeComplete = "-complete"
+)
+
+// solverMode returns the solver the flags select: a sharded run takes
+// precedence, then APR, then completion; "" is standard CP-ALS.
+func solverMode(procs int, apr, complete bool) string {
+	switch {
+	case procs > 1:
+		return modeDist
+	case apr:
+		return modeAPR
+	case complete:
+		return modeComplete
+	}
+	return ""
+}
+
+var (
+	// cpalsFlags are read only by CP-ALS, single-node or sharded
+	// (-partition and -transport only when sharded).
+	cpalsFlags = []string{"engine", "json", "tracefile", "listen", "hold", "audit", "auditfile",
+		"auditwarn", "logjson", "logfile", "model", "partition", "transport"}
+	// singleNodeFlags are read only by single-node CP-ALS.
+	singleNodeFlags = []string{"budget", "accum", "health", "healthfile", "timeout", "progress",
+		"nonneg", "checkpoint", "ckpt-every", "ckpt-retain", "resume"}
+)
+
+// checkFlags returns an error naming the first flag in set that the given
+// solver mode never reads, so a run cannot silently drop a requested output
+// or option. set holds flag names without the leading dash.
+func checkFlags(mode string, set map[string]bool) error {
+	var ignored []string
+	switch mode {
+	case modeDist:
+		ignored = slices.Concat(singleNodeFlags, []string{"ridge", "apr", "complete"})
+	case modeAPR:
+		ignored = slices.Concat(cpalsFlags, singleNodeFlags, []string{"ridge", "complete"})
+	case modeComplete:
+		ignored = slices.Concat(cpalsFlags, singleNodeFlags)
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s is not supported with %s", name, mode)
+		}
+	}
+	return nil
+}
+
+// changedFlags returns the names of the flags set on the command line to a
+// value other than their default: spelling out a default changes nothing.
+func changedFlags() map[string]bool {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Value.String() != f.DefValue {
+			set[f.Name] = true
+		}
+	})
+	return set
 }
 
 // fatalCleanup flushes observability state (trace file, profiles, debug

@@ -66,3 +66,42 @@ func TestWriteMatrixAndVector(t *testing.T) {
 		t.Errorf("vector file: %q", string(data))
 	}
 }
+
+// Every solver mode rejects the flags its code path never reads, naming the
+// first one; standard CP-ALS reads them all.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		name     string
+		procs    int
+		set      []string
+		wantFlag string // "" = accepted
+	}{
+		{"apr drops outputs", 1, []string{"apr", "model", "json", "checkpoint", "health", "timeout"}, "-json"},
+		{"complete drops model", 1, []string{"complete", "model", "nonneg", "health"}, "-model"},
+		{"dist drops single-node flags", 2, []string{"procs", "budget", "progress", "accum"}, "-budget"},
+		{"dist drops progress", 2, []string{"procs", "progress"}, "-progress"},
+		{"dist drops accum", 2, []string{"procs", "accum"}, "-accum"},
+		{"apr drops complete", 1, []string{"apr", "complete"}, "-complete"},
+		{"dist drops apr", 2, []string{"procs", "apr"}, "-apr"},
+		{"dist drops checkpoint", 2, []string{"procs", "checkpoint"}, "-checkpoint"},
+		{"apr accepts its options", 1, []string{"apr", "rank", "iters", "tol", "seed", "workers", "fittrace", "out", "pprof"}, ""},
+		{"complete accepts ridge", 1, []string{"complete", "rank", "ridge", "fittrace", "out", "runtimetrace"}, ""},
+		{"dist accepts reporting", 2, []string{"procs", "engine", "partition", "transport", "json", "model", "listen", "hold", "auditfile", "tracefile"}, ""},
+		{"cp-als accepts everything", 1, []string{"budget", "accum", "json", "model", "checkpoint", "health", "timeout", "progress", "nonneg", "ridge"}, ""},
+	}
+	for _, c := range cases {
+		set := map[string]bool{}
+		for _, f := range c.set {
+			set[f] = true
+		}
+		err := checkFlags(solverMode(c.procs, set["apr"], set["complete"]), set)
+		switch {
+		case c.wantFlag == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.wantFlag != "" && err == nil:
+			t.Errorf("%s: accepted, want %s rejected", c.name, c.wantFlag)
+		case c.wantFlag != "" && !strings.HasPrefix(err.Error(), c.wantFlag+" "):
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.wantFlag)
+		}
+	}
+}

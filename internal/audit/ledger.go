@@ -19,21 +19,21 @@ type Record struct {
 
 // Event is a run-lifecycle entry in the ledger outside the model-selection
 // flow: checkpoint resumes (which explain why a run's measured iteration
-// counts start mid-trajectory) and perf-suite runs/regression verdicts
-// (which anchor the performance trajectory to the decision history).
+// counts start mid-trajectory), numerical-health transitions and the
+// sharded solver's partition decision.
 type Event struct {
-	// Kind identifies the event ("resume", "perf.suite", "perf.regression").
+	// Kind identifies the event ("resume", "health.state", "dist.partition").
 	Kind string `json:"kind"`
 	// Iter is the ALS iteration the event refers to (for a resume: the
 	// checkpointed iteration the run continues from).
 	Iter int `json:"iter,omitempty"`
-	// Path is the file involved (checkpoint or bench result), when known.
+	// Path is the file involved (e.g. a checkpoint), when known.
 	Path string `json:"path,omitempty"`
 	// Fingerprint is the tensor+plan fingerprint the checkpoint was
 	// validated against.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Detail carries kind-specific context: for perf.suite the scenario and
-	// sample counts, for perf.regression the offending scenario and delta.
+	// Detail carries kind-specific context: for health.state the verdict
+	// transition and its signals, for dist.partition the chosen partitioner.
 	Detail string `json:"detail,omitempty"`
 }
 

@@ -21,8 +21,8 @@ type ResourceSample struct {
 }
 
 // Default sampler cadence and ring capacity: 100 ms × 4096 samples ≈ seven
-// minutes of timeline, enough to cover a bench suite or explain a noisy
-// sample window post hoc without unbounded growth.
+// minutes of timeline, enough to cover a long run or explain a noisy
+// window post hoc without unbounded growth.
 const (
 	defaultSampleInterval = 100 * time.Millisecond
 	defaultSamplerCap     = 4096
@@ -30,10 +30,9 @@ const (
 
 // Sampler records a ring-buffered timeline of process resource samples on a
 // fixed cadence in a background goroutine. It exists to explain performance
-// measurements after the fact: a bench sample that ran concurrently with a
+// measurements after the fact: a slow stretch of a run that coincided with a
 // GC cycle or a goroutine spike is visible in the timeline window that
-// brackets it (see the /timeseries endpoint and the perf suite's embedded
-// timelines).
+// brackets it (see the /timeseries endpoint).
 //
 // A nil *Sampler is valid: every method no-ops.
 type Sampler struct {
@@ -154,8 +153,7 @@ func (s *Sampler) Snapshot() []ResourceSample {
 }
 
 // Since returns the retained samples with UnixNano >= t, in chronological
-// order — the probe the perf runner uses to embed the timeline window of one
-// suite run into its bench record.
+// order: the timeline window from t to now.
 func (s *Sampler) Since(t int64) []ResourceSample {
 	if s == nil {
 		return nil

@@ -48,4 +48,14 @@ make bench-smoke
 make obs-smoke
 make ckpt-smoke
 make dist-smoke
-make perf-gate
+
+# Each workload of the repo benchmark (BENCHMARK.json, e2ebench/README.md)
+# runs for one second. e2ebench exits 0 even when a run's answer is wrong, so
+# the gate is the "correct" field of its last (JSON) line.
+for w in tns-to-model als-order5 dist-p2; do
+    last=$(bash e2ebench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+    *'"correct":true'*) ;;
+    *) echo "ci: e2ebench $w incorrect: $last"; exit 1 ;;
+    esac
+done
