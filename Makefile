@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-smoke bench-kernels bench-mttkrp obs-smoke ckpt-smoke dist-smoke ci fuzz experiments experiments-quick examples clean
+.PHONY: all build vet test test-race bench bench-smoke bench-kernels bench-mttkrp obs-smoke ckpt-smoke dist-smoke ci loc fuzz experiments experiments-quick examples clean
 
 all: build vet test
 
@@ -56,6 +56,11 @@ bench-mttkrp:
 
 ci:
 	./scripts/ci.sh
+
+# Non-test Go lines of the tracked files, outside the e2ebench module: the
+# size figure every change reports.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^e2ebench/' | xargs cat | wc -l
 
 fuzz:
 	$(GO) test -fuzz FuzzReadTNS -fuzztime 30s ./internal/tensor/

@@ -74,9 +74,6 @@ func (e *Engine) Stats() engine.Stats {
 	return s
 }
 
-// ResetStats implements engine.Engine.
-func (e *Engine) ResetStats() { e.ctr.Reset() }
-
 // Instrument implements engine.Instrumentable. The COO kernel splits
 // nonzeros evenly across workers, so its chunk-imbalance gauge is the
 // definitional 1.0 — exported anyway so dashboards see every engine on the

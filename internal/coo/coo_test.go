@@ -88,9 +88,9 @@ func TestStatsCount(t *testing.T) {
 	if got := e.Stats().HadamardOps; got != wantOps {
 		t.Errorf("ops = %d, want %d", got, wantOps)
 	}
-	e.ResetStats()
-	if e.Stats().HadamardOps != 0 {
-		t.Error("ResetStats did not zero the counter")
+	e.MTTKRP(1, fs, dense.New(x.Dims[1], 4))
+	if got := e.Stats().HadamardOps; got != 2*wantOps {
+		t.Errorf("ops after a second call = %d, want %d", got, 2*wantOps)
 	}
 }
 

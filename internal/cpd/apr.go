@@ -281,13 +281,5 @@ func logLikelihood(x *tensor.COO, factors []*dense.Matrix, lambda []float64, pi 
 
 // PredictAPR evaluates the Poisson model rate at one coordinate.
 func PredictAPR(res *APRResult, idx []tensor.Index) float64 {
-	v := 0.0
-	for j := range res.Lambda {
-		p := res.Lambda[j]
-		for m, f := range res.Factors {
-			p *= f.At(int(idx[m]), j)
-		}
-		v += p
-	}
-	return v
+	return evalCP(res.Lambda, res.Factors, idx)
 }

@@ -74,7 +74,8 @@ func buildRowIndex(x *tensor.COO, mode int) rowIndex {
 func Complete(x *tensor.COO, opt CompleteOptions) (*CompleteResult, error) {
 	// Validate before anything indexes by the declared dims: an out-of-range
 	// index would otherwise panic deep in the loop (inside a worker
-	// goroutine for APR, where the caller cannot recover it).
+	// goroutine of the masked row update, where the caller cannot recover
+	// it).
 	if err := x.Validate(); err != nil {
 		return nil, fmt.Errorf("cpd: %w", err)
 	}
@@ -264,14 +265,5 @@ func observedRMSE(x *tensor.COO, factors []*dense.Matrix, workers int) float64 {
 
 // Predict evaluates a completion model at one coordinate.
 func (c *CompleteResult) Predict(idx []tensor.Index) float64 {
-	r := c.Factors[0].Cols
-	v := 0.0
-	for j := 0; j < r; j++ {
-		p := 1.0
-		for m, f := range c.Factors {
-			p *= f.At(int(idx[m]), j)
-		}
-		v += p
-	}
-	return v
+	return evalCP(nil, c.Factors, idx)
 }

@@ -589,10 +589,20 @@ func maxDim(dims []int) int {
 
 // Reconstruct evaluates the CP model Σᵣ λᵣ · u¹ᵣ ∘ … ∘ uᴺᵣ at one coordinate.
 func Reconstruct(res *Result, idx []tensor.Index) float64 {
+	return evalCP(res.Lambda, res.Factors, idx)
+}
+
+// evalCP is the one CP-model evaluator behind Reconstruct, PredictAPR and
+// CompleteResult.Predict: Σᵣ λᵣ · u¹ᵣ(i₁) ⋯ uᴺᵣ(i_N), with λ = 1 when
+// lambda is nil.
+func evalCP(lambda []float64, factors []*dense.Matrix, idx []tensor.Index) float64 {
 	v := 0.0
-	for r := range res.Lambda {
-		p := res.Lambda[r]
-		for m, f := range res.Factors {
+	for r := 0; r < factors[0].Cols; r++ {
+		p := 1.0
+		if lambda != nil {
+			p = lambda[r]
+		}
+		for m, f := range factors {
 			p *= f.At(int(idx[m]), r)
 		}
 		v += p

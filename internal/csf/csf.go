@@ -337,9 +337,6 @@ func (e *AllMode) Stats() engine.Stats {
 	return s
 }
 
-// ResetStats implements engine.Engine.
-func (e *AllMode) ResetStats() { e.ctr.Reset() }
-
 // MTTKRP implements engine.Engine.
 func (e *AllMode) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) error {
 	if err := engine.CheckInputs(e.trees[0].Dims, mode, factors, out); err != nil {

@@ -238,9 +238,6 @@ func (e *Single) Stats() engine.Stats {
 	return s
 }
 
-// ResetStats implements engine.Engine.
-func (e *Single) ResetStats() { e.ctr.Reset() }
-
 // MTTKRP implements engine.Engine.
 func (e *Single) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) error {
 	if err := engine.CheckInputs(e.tree.Dims, mode, factors, out); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"adatm/internal/coo"
@@ -15,6 +16,7 @@ import (
 	"adatm/internal/dist"
 	"adatm/internal/engine"
 	"adatm/internal/memo"
+	"adatm/internal/ref"
 	"adatm/internal/tensor"
 )
 
@@ -31,8 +33,108 @@ func partitioners(x *tensor.COO, procs int) []*dist.Partition {
 
 func cooFactory(shard *tensor.COO) engine.Engine { return coo.New(shard, 1) }
 
-// Full simulated distributed CP-ALS (the Cluster engine under cpd.Run) must
-// match the shared-memory solver's trajectory from identical initial factors.
+// foldRef is the conformance reference: an engine whose MTTKRP runs one
+// engine per nonempty shard of a partition and sums the partials in
+// ascending process order, the order dist.Run's row owners fold in.
+// cpd.Run over it is the single-node loop over the same shard summation.
+type foldRef struct {
+	shards []engine.Engine // nil for an empty shard
+}
+
+func newFoldRef(x *tensor.COO, part *dist.Partition, factory func(*tensor.COO) engine.Engine) *foldRef {
+	r := &foldRef{}
+	for _, s := range dist.Shards(x, part) {
+		var e engine.Engine
+		if s.NNZ() > 0 {
+			e = factory(s)
+		}
+		r.shards = append(r.shards, e)
+	}
+	return r
+}
+
+func (r *foldRef) Name() string { return "fold-ref" }
+
+func (r *foldRef) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) error {
+	partial := dense.New(out.Rows, out.Cols)
+	out.Zero()
+	for _, e := range r.shards {
+		if e == nil {
+			continue
+		}
+		if err := e.MTTKRP(mode, factors, partial); err != nil {
+			return err
+		}
+		for j, v := range partial.Data {
+			out.Data[j] += v
+		}
+	}
+	return nil
+}
+
+func (r *foldRef) FactorUpdated(mode int) {
+	for _, e := range r.shards {
+		if e != nil {
+			e.FactorUpdated(mode)
+		}
+	}
+}
+
+func (r *foldRef) Stats() engine.Stats { return engine.Stats{} }
+
+// The distributive law: the fold of per-shard MTTKRP partials must equal
+// the global MTTKRP, for every partitioner and mode. This verifies the
+// reference the conformance tests below compare dist.Run against.
+func TestClusterMTTKRPEquivalence(t *testing.T) {
+	x := tensor.RandomClustered(4, 15, 900, 0.8, 603)
+	rng := rand.New(rand.NewSource(604))
+	fs := make([]*dense.Matrix, 4)
+	for m := range fs {
+		fs[m] = dense.Random(x.Dims[m], 5, rng)
+	}
+	for _, p := range partitioners(x, 7) {
+		r := newFoldRef(x, p, cooFactory)
+		for mode := 0; mode < 4; mode++ {
+			out := dense.New(x.Dims[mode], 5)
+			if err := r.MTTKRP(mode, fs, out); err != nil {
+				t.Fatal(err)
+			}
+			want := ref.MTTKRPSparse(x, mode, fs)
+			if d := out.MaxAbsDiff(want); d > 1e-8 {
+				t.Errorf("%s mode %d: diff %g", p.Name, mode, d)
+			}
+		}
+	}
+}
+
+// Property: the fold equals the global MTTKRP for random partitions of
+// random tensors.
+func TestClusterEquivalenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		order := 3 + rng.Intn(3)
+		procs := 2 + rng.Intn(9)
+		x := tensor.RandomClustered(order, 6+rng.Intn(10), 250, rng.Float64(), seed)
+		fs := make([]*dense.Matrix, order)
+		for m := range fs {
+			fs[m] = dense.Random(x.Dims[m], 3, rng)
+		}
+		r := newFoldRef(x, dist.RandomPartition(x, procs, seed+1), cooFactory)
+		mode := rng.Intn(order)
+		out := dense.New(x.Dims[mode], 3)
+		if err := r.MTTKRP(mode, fs, out); err != nil {
+			return false
+		}
+		want := ref.MTTKRPSparse(x, mode, fs)
+		return out.MaxAbsDiff(want) < 1e-8
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Full sharded CP-ALS (dist.Run over memo shard engines) must match the
+// shared-memory solver's trajectory from identical initial factors.
 func TestDistributedALSMatchesShared(t *testing.T) {
 	x := tensor.RandomClustered(3, 18, 1200, 0.6, 605)
 	rng := rand.New(rand.NewSource(606))
@@ -45,17 +147,10 @@ func TestDistributedALSMatchesShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range partitioners(x, 6) {
-		c := dist.NewCluster(x, p, func(s *tensor.COO) engine.Engine {
-			if s.NNZ() == 0 {
-				return coo.New(s, 1)
-			}
-			e, err := memo.New(s, memo.Balanced(3), 1, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		})
-		got, err := cpd.Run(x, c, cpd.Options{Rank: 4, MaxIters: 6, Tol: 1e-14, Init: init})
+		c := dist.NewCluster(x, p, shardEngines(t, "memo", x.Order()))
+		tr := dist.NewChanTransport(p.P)
+		got, err := dist.Run(x, c, tr, dist.RunOptions{Rank: 4, MaxIters: 6, Tol: 1e-14, Init: init})
+		tr.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -149,14 +244,13 @@ func conformanceFixture(t *testing.T) (*tensor.COO, cpd.Options, dist.RunOptions
 }
 
 // singleNodeBaseline runs the shared-memory cpd.Run over the *same* shard
-// summation (the Cluster engine folds per-shard partials in process order,
-// which is what dist.Run's owners do) so the comparison isolates the
-// distributed protocol — fold routing, owner-side solves, reduce trees —
-// from engine-level MTTKRP summation order.
+// summation (foldRef sums per-shard partials in process order, which is
+// what dist.Run's owners do) so the comparison isolates the distributed
+// protocol — fold routing, owner-side solves, reduce trees — from
+// engine-level MTTKRP summation order.
 func singleNodeBaseline(t *testing.T, x *tensor.COO, part *dist.Partition, kind string, copt cpd.Options) *cpd.Result {
 	t.Helper()
-	c := dist.NewCluster(x, part, shardEngines(t, kind, x.Order()))
-	want, err := cpd.Run(x, c, copt)
+	want, err := cpd.Run(x, newFoldRef(x, part, shardEngines(t, kind, x.Order())), copt)
 	if err != nil {
 		t.Fatal(err)
 	}

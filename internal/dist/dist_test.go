@@ -2,14 +2,8 @@ package dist
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"adatm/internal/coo"
-	"adatm/internal/dense"
-	"adatm/internal/engine"
-	"adatm/internal/ref"
 	"adatm/internal/tensor"
 )
 
@@ -20,8 +14,6 @@ func partitioners(x *tensor.COO, procs int) []*Partition {
 		FineGrainGreedyPartition(x, procs, 2),
 	}
 }
-
-func cooFactory(shard *tensor.COO) engine.Engine { return coo.New(shard, 1) }
 
 func TestPartitionsValid(t *testing.T) {
 	x := tensor.RandomClustered(4, 20, 1500, 0.7, 601)
@@ -61,28 +53,6 @@ func TestShardsPartitionNonzeros(t *testing.T) {
 	}
 	if math.Abs(sum-want) > 1e-9 {
 		t.Fatalf("value mass changed: %g vs %g", sum, want)
-	}
-}
-
-// The distributive law: the fold of per-shard MTTKRP partials must equal
-// the global MTTKRP, for every partitioner and mode.
-func TestClusterMTTKRPEquivalence(t *testing.T) {
-	x := tensor.RandomClustered(4, 15, 900, 0.8, 603)
-	rng := rand.New(rand.NewSource(604))
-	fs := make([]*dense.Matrix, 4)
-	for m := range fs {
-		fs[m] = dense.Random(x.Dims[m], 5, rng)
-	}
-	for _, p := range partitioners(x, 7) {
-		c := NewCluster(x, p, cooFactory)
-		for mode := 0; mode < 4; mode++ {
-			out := dense.New(x.Dims[mode], 5)
-			c.MTTKRP(mode, fs, out)
-			want := ref.MTTKRPSparse(x, mode, fs)
-			if d := out.MaxAbsDiff(want); d > 1e-8 {
-				t.Errorf("%s mode %d: diff %g", p.Name, mode, d)
-			}
-		}
 	}
 }
 
@@ -176,70 +146,5 @@ func TestPredictIterationPositive(t *testing.T) {
 	}
 	if want := float64(maxLoad * 3 * 3 * 16); compute != want {
 		t.Errorf("compute = %v, want max load × N² × R = %v", compute, want)
-	}
-}
-
-// Property: the fold equals the global MTTKRP for random partitions of
-// random tensors.
-func TestClusterEquivalenceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		order := 3 + rng.Intn(3)
-		procs := 2 + rng.Intn(9)
-		x := tensor.RandomClustered(order, 6+rng.Intn(10), 250, rng.Float64(), seed)
-		fs := make([]*dense.Matrix, order)
-		for m := range fs {
-			fs[m] = dense.Random(x.Dims[m], 3, rng)
-		}
-		c := NewCluster(x, RandomPartition(x, procs, seed+1), cooFactory)
-		mode := rng.Intn(order)
-		out := dense.New(x.Dims[mode], 3)
-		c.MTTKRP(mode, fs, out)
-		want := ref.MTTKRPSparse(x, mode, fs)
-		return out.MaxAbsDiff(want) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestClusterRepartitionReusesCacheSafely pins the partials-cache key: the
-// cache must be invalidated when the process count changes, not only when
-// the rank does. Before the (P, rank) key, repartitioning a cluster in
-// place from P=2 to P=6 panicked indexing partials[p] past the old length
-// (and a shrink would have silently folded stale partials).
-func TestClusterRepartitionReusesCacheSafely(t *testing.T) {
-	x := tensor.RandomClustered(3, 15, 900, 0.6, 611)
-	rng := rand.New(rand.NewSource(612))
-	fs := make([]*dense.Matrix, 3)
-	for m := range fs {
-		fs[m] = dense.Random(x.Dims[m], 5, rng)
-	}
-	c := NewCluster(x, RandomPartition(x, 2, 1), cooFactory)
-	out := dense.New(x.Dims[0], 5)
-	if err := c.MTTKRP(0, fs, out); err != nil {
-		t.Fatal(err)
-	}
-
-	// Repartition in place to more processes, warming the same cache.
-	for _, procs := range []int{6, 3} {
-		p := RandomPartition(x, procs, 1)
-		owners, stats := AnalyzeComm(x, p)
-		shards := Shards(x, p)
-		c.Part, c.Owners, c.Comm, c.shards = p, owners, stats, shards
-		c.Engines = make([]engine.Engine, procs)
-		for i, s := range shards {
-			c.Engines[i] = cooFactory(s)
-		}
-		for mode := 0; mode < 3; mode++ {
-			got := dense.New(x.Dims[mode], 5)
-			if err := c.MTTKRP(mode, fs, got); err != nil {
-				t.Fatalf("P=%d mode %d: %v", procs, mode, err)
-			}
-			want := ref.MTTKRPSparse(x, mode, fs)
-			if d := got.MaxAbsDiff(want); d > 1e-8 {
-				t.Errorf("P=%d mode %d: diff %g", procs, mode, d)
-			}
-		}
 	}
 }

@@ -59,9 +59,6 @@ type Engine interface {
 
 	// Stats returns the accumulated counters.
 	Stats() Stats
-
-	// ResetStats zeroes the work counters (footprint counters persist).
-	ResetStats()
 }
 
 // Instrumentable is implemented by engines that can attach to the
@@ -182,11 +179,4 @@ func (c *Counters) Fill(s *Stats) {
 	s.HadamardOps = c.ops.Load()
 	s.MTTKRPCalls = c.calls.Load()
 	s.MTTKRPNS = c.ns.Load()
-}
-
-// Reset zeroes the work counters.
-func (c *Counters) Reset() {
-	c.ops.Store(0)
-	c.calls.Store(0)
-	c.ns.Store(0)
 }

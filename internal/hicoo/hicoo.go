@@ -185,9 +185,6 @@ func (e *Engine) Stats() engine.Stats {
 	return s
 }
 
-// ResetStats implements engine.Engine.
-func (e *Engine) ResetStats() { e.ctr.Reset() }
-
 // Instrument implements engine.Instrumentable. The block schedule is
 // immutable after construction, so the imbalance of the element-weighted
 // block chunking is computed once here and exported as a constant gauge.

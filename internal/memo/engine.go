@@ -211,9 +211,6 @@ func (e *Engine) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	engine.RegisterAccumMetrics(reg, e.name, len(e.x.Dims), e.res, e.pool)
 }
 
-// ResetStats implements engine.Engine.
-func (e *Engine) ResetStats() { e.ctr.Reset() }
-
 // FactorUpdated implements engine.Engine: every cached node contracted with
 // factors[mode] becomes stale; its storage stays for the next rebuild.
 func (e *Engine) FactorUpdated(mode int) {

@@ -77,9 +77,6 @@ func (e *Permuted) Name() string { return e.inner.Name() }
 // Stats implements engine.Engine.
 func (e *Permuted) Stats() engine.Stats { return e.inner.Stats() }
 
-// ResetStats implements engine.Engine.
-func (e *Permuted) ResetStats() { e.inner.ResetStats() }
-
 // FactorUpdated implements engine.Engine.
 func (e *Permuted) FactorUpdated(mode int) { e.inner.FactorUpdated(e.pos[mode]) }
 

@@ -149,12 +149,6 @@ func (s *Sampler) record() {
 
 // Snapshot returns the retained samples in chronological order.
 func (s *Sampler) Snapshot() []ResourceSample {
-	return s.Since(0)
-}
-
-// Since returns the retained samples with UnixNano >= t, in chronological
-// order: the timeline window from t to now.
-func (s *Sampler) Since(t int64) []ResourceSample {
 	if s == nil {
 		return nil
 	}
@@ -168,9 +162,7 @@ func (s *Sampler) Since(t int64) []ResourceSample {
 	}
 	out := make([]ResourceSample, 0, n-start)
 	for i := start; i < n; i++ {
-		if sm := s.buf[i%size]; sm.UnixNano >= t {
-			out = append(out, sm)
-		}
+		out = append(out, s.buf[i%size])
 	}
 	return out
 }
