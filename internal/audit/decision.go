@@ -40,12 +40,14 @@ type CandidateRecord struct {
 	Feasible   bool  `json:"feasible"`
 }
 
-// RangeCount mirrors model.RangeCount: the (estimated) distinct-tuple count
-// of the contiguous mode range [Lo, Hi) — one input of the cost model.
+// RangeCount mirrors model.RangeCount: the distinct-tuple count of the
+// contiguous mode range [Lo, Hi) — one input of the cost model — and
+// whether it is exact or a sketch estimate.
 type RangeCount struct {
 	Lo    int   `json:"lo"`
 	Hi    int   `json:"hi"`
 	Count int64 `json:"count"`
+	Exact bool  `json:"exact"`
 }
 
 // AccumRecord is one per-mode output-accumulation decision: the chosen
@@ -82,8 +84,8 @@ type Decision struct {
 	// Partition holds the scored partitioner candidates of a partition
 	// decision (Candidates stays empty for those).
 	Partition []PartitionCandidateRecord `json:"partition_candidates,omitempty"`
-	// Exact reports the distinct counts were computed exactly rather than
-	// sketched (model-validation runs).
+	// Exact reports every distinct count was computed exactly; Ranges says
+	// which ones were sketched otherwise.
 	Exact bool `json:"exact_counts,omitempty"`
 	// ByTime reports the candidates were ranked by the roofline time model
 	// rather than raw op counts.
@@ -91,9 +93,9 @@ type Decision struct {
 	Candidates []CandidateRecord `json:"candidates"`
 	Chosen     string            `json:"chosen"`
 	Reason     string            `json:"reason"`
-	// Ranges is the estimator's distinct-tuple table (sketch-estimated
-	// unless Exact), recorded so estimate drift is diagnosable after the
-	// fact.
+	// Ranges is the estimator's distinct-tuple table, each entry flagged
+	// exact or sketched, recorded so estimate drift is diagnosable after
+	// the fact.
 	Ranges []RangeCount `json:"distinct_ranges,omitempty"`
 	// Workers is the parallel width the accumulation table assumed.
 	Workers int `json:"workers,omitempty"`

@@ -31,8 +31,20 @@ func TestNewDecisionFromPlan(t *testing.T) {
 	if c == nil || c.PredOps != plan.Chosen.Pred.Ops || c.Tree == "" {
 		t.Errorf("chosen record = %+v", c)
 	}
-	if len(d.Ranges) == 0 {
-		t.Error("decision lost the estimator's distinct-tuple table")
+	if len(d.Ranges) != len(plan.Ranges) {
+		t.Fatalf("decision has %d distinct-tuple ranges, plan had %d", len(d.Ranges), len(plan.Ranges))
+	}
+	exact := 0
+	for i, r := range plan.Ranges {
+		if want := (audit.RangeCount{Lo: r.Lo, Hi: r.Hi, Count: r.Count, Exact: r.Exact}); d.Ranges[i] != want {
+			t.Errorf("range %d = %+v, want %+v", i, d.Ranges[i], want)
+		}
+		if r.Exact {
+			exact++
+		}
+	}
+	if exact == 0 {
+		t.Error("no range flagged exact; single-mode ranges of a dim-12 tensor fit a bitmap")
 	}
 	if d.Candidate("nonexistent") != nil {
 		t.Error("Candidate(nonexistent) != nil")

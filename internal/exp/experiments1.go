@@ -22,7 +22,7 @@ func T1DatasetTable(cfg Config) *Table {
 	for _, ds := range suite {
 		x := ds.X
 		n := x.Order()
-		est := model.NewEstimator(x, 0)
+		est := model.NewEstimator(x, 0, cfg.Workers)
 		mid := (n + 1) / 2
 		compLo := float64(x.NNZ()) / float64(est.Distinct(0, mid))
 		compHi := float64(x.NNZ()) / float64(est.Distinct(mid, n))

@@ -34,7 +34,7 @@ func NewDecision(p *Plan) *audit.Decision {
 	}
 	d.Ranges = make([]audit.RangeCount, len(p.Ranges))
 	for i, r := range p.Ranges {
-		d.Ranges[i] = audit.RangeCount{Lo: r.Lo, Hi: r.Hi, Count: r.Count}
+		d.Ranges[i] = audit.RangeCount{Lo: r.Lo, Hi: r.Hi, Count: r.Count, Exact: r.Exact}
 	}
 	d.Workers = p.Workers
 	d.Accum = make([]audit.AccumRecord, len(p.Accum))

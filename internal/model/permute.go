@@ -16,16 +16,11 @@ import (
 // NewEstimatorOrdered is NewEstimator over a permuted mode order: range
 // [lo, hi) refers to permuted positions, i.e. original modes
 // perm[lo..hi-1].
-func NewEstimatorOrdered(x *tensor.COO, perm []int, k int) *Estimator {
+func NewEstimatorOrdered(x *tensor.COO, perm []int, k, workers int) *Estimator {
 	if len(perm) != x.Order() {
 		panic("model: permutation arity mismatch")
 	}
-	px := &tensor.COO{Dims: make([]int, len(perm)), Inds: make([][]tensor.Index, len(perm)), Vals: x.Vals}
-	for p, m := range perm {
-		px.Dims[p] = x.Dims[m]
-		px.Inds[p] = x.Inds[m] // aliasing is fine: the estimator only reads
-	}
-	return NewEstimator(px, k)
+	return NewEstimator(permutedView(x, perm), k, workers)
 }
 
 // PermCandidate is one scored (permutation, plan) pair.
@@ -56,7 +51,9 @@ func HeuristicPermutations(x *tensor.COO) map[string][]int {
 		sort.SliceStable(p, func(a, b int) bool { return less(p[a], p[b]) })
 		return p
 	}
-	est := NewEstimator(x, 512)
+	// Single-mode ranges are counted exactly wherever a bitmap of the mode
+	// fits (mode dim <= 32·nnz); only the rest are sketched.
+	est := newEstimator(x, 512, 0, func(lo, hi int) bool { return hi == lo+1 })
 	distinct := make([]int64, n)
 	for m := 0; m < n; m++ {
 		distinct[m] = est.Distinct(m, m+1)
@@ -83,7 +80,7 @@ func SelectPermuted(x *tensor.COO, opt Options, perms map[string][]int) *PermPla
 		if opt.Exact {
 			est = NewExactEstimator(permutedView(x, perm))
 		} else {
-			est = NewEstimatorOrdered(x, perm, opt.SketchK)
+			est = NewEstimatorOrdered(x, perm, opt.SketchK, opt.Workers)
 		}
 		plan := SelectWithEstimator(est, opt)
 		out.Candidates = append(out.Candidates, PermCandidate{Name: name, Perm: perm, Plan: plan})
@@ -107,6 +104,8 @@ func SelectPermuted(x *tensor.COO, opt Options, perms map[string][]int) *PermPla
 	return out
 }
 
+// permutedView aliases x's index arrays in the order perm; estimators only
+// read them.
 func permutedView(x *tensor.COO, perm []int) *tensor.COO {
 	px := &tensor.COO{Dims: make([]int, len(perm)), Inds: make([][]tensor.Index, len(perm)), Vals: x.Vals}
 	for p, m := range perm {

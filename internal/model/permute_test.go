@@ -33,8 +33,8 @@ func correlated(nnz int, seed int64) *tensor.COO {
 func TestEstimatorOrderedMatchesPermutedClone(t *testing.T) {
 	x := tensor.RandomClustered(4, 10, 500, 0.8, 501)
 	perm := []int{3, 1, 0, 2}
-	a := NewEstimatorOrdered(x, perm, 1<<14)
-	b := NewEstimator(x.PermuteModes(perm), 1<<14)
+	a := NewEstimatorOrdered(x, perm, 1<<14, 0)
+	b := NewEstimator(x.PermuteModes(perm), 1<<14, 0)
 	for lo := 0; lo < 4; lo++ {
 		for hi := lo + 1; hi <= 4; hi++ {
 			if a.Distinct(lo, hi) != b.Distinct(lo, hi) {

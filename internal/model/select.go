@@ -37,7 +37,7 @@ type Plan struct {
 	Budget int64 // bytes; <= 0 means unbounded
 	Dims   []int // mode dimensions (selector's mode order)
 	NNZ    int64
-	Exact  bool // distinct counts were exact, not sketched
+	Exact  bool // every distinct count was exact (Ranges flags each one)
 	ByTime bool // ranked by the roofline time model, not op counts
 	// BudgetFallback reports that no candidate fit the budget and the
 	// smallest-footprint candidate was chosen instead of the op-optimal one.
@@ -68,7 +68,7 @@ type Options struct {
 	// validation).
 	Exact bool
 	// Workers is the parallel width the kernels will run with; used by the
-	// accumulation model (<= 0 → GOMAXPROCS).
+	// accumulation model and by the estimator's pass (<= 0 → GOMAXPROCS).
 	Workers int
 	// Accum forces one accumulation backend for every mode; accum.Auto
 	// (the zero value) lets the model decide per mode.
@@ -84,7 +84,7 @@ func Select(x *tensor.COO, opt Options) *Plan {
 	if opt.Exact {
 		est = NewExactEstimator(x)
 	} else {
-		est = NewEstimator(x, opt.SketchK)
+		est = NewEstimator(x, opt.SketchK, opt.Workers)
 	}
 	return SelectWithEstimator(est, opt)
 }

@@ -153,7 +153,7 @@ func SelectByTime(x *tensor.COO, opt Options, c Coeffs) *Plan {
 	if opt.Exact {
 		est = NewExactEstimator(x)
 	} else {
-		est = NewEstimator(x, opt.SketchK)
+		est = NewEstimator(x, opt.SketchK, opt.Workers)
 	}
 	plan := SelectWithEstimator(est, opt)
 	// Re-rank by predicted time; re-choose the cheapest feasible.

@@ -72,7 +72,7 @@ func TestSelectByTimeChoosesFeasible(t *testing.T) {
 		t.Fatalf("bad choice: %+v", plan.Chosen)
 	}
 	// Candidates must be ordered by predicted time.
-	est := NewEstimator(x, 0)
+	est := NewEstimator(x, 0, 0)
 	prev := time.Duration(-1)
 	for _, cand := range plan.Candidates {
 		d := PredictTime(est, cand.Strategy, 16, c)

@@ -28,6 +28,11 @@ go test -race ./cmd/...
 # and the high-contention short-mode tensor maximizes the interleavings.
 GOMAXPROCS=4 go test -race -count=1 -run 'TestConformanceAccum' ./internal/engine/
 
+# The estimator oracles run under the race detector at a forced multi-worker
+# width, so the per-worker sketches, their merge and the shared bitmap's
+# compare-and-swap counting are exercised concurrently even on a 2-CPU host.
+GOMAXPROCS=4 go test -race -count=1 -run 'TestEstimator' ./internal/model/
+
 # The swamp fixture drives the numerical-health probe with every sink wired
 # (metrics, ledger, iteration stream) through a real CP-ALS run; the race run
 # covers the probe's locking against the solver loop and the /iters readers.
